@@ -34,6 +34,20 @@ let kind_of_stack = function
   | `Ds_base -> Uls_bench.Microbench.Sub Uls_substrate.Options.data_streaming
   | `Dg -> Uls_bench.Microbench.Sub Uls_substrate.Options.datagram
 
+(* The sockets stacks of chaos, serve and fabric; [ds] is the command's
+   preset for `ds`. *)
+let sock_kind ~cmd ~ds = function
+  | `Emp ->
+    Printf.eprintf "ulsbench %s: raw EMP has no sockets stream; use ds/dg\n"
+      cmd;
+    exit 124
+  | `Tcp -> Uls_bench.Chaos.Tcp Uls_tcp.Config.default
+  | `Tcp_tuned ->
+    Uls_bench.Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
+  | `Ds -> Uls_bench.Chaos.Sub ds
+  | `Ds_base -> Uls_bench.Chaos.Sub Uls_substrate.Options.data_streaming
+  | `Dg -> Uls_bench.Chaos.Sub Uls_substrate.Options.datagram
+
 (* --- figures ----------------------------------------------------------- *)
 
 let figures_cmd =
@@ -70,27 +84,31 @@ let metrics_flag =
 
 let dump_metrics m = Uls_engine.Metrics.dump m Format.std_formatter
 
-(* Machine-tracked perf records: one JSON object per run, appended to a
-   BENCH_*.json file (created on first use) so the trajectory
-   accumulates across commits. Every record carries a schema version so
-   downstream tooling can tell record generations apart. Values arrive
-   pre-rendered (ints, %.3f floats, quoted strings). *)
-let bench_schema_version = 3
+(* The pass/fail tally that every --check and --smoke run, chaos and
+   races share. [fail] names a failed gate on stderr under the command's
+   prefix; [count] tallies one the caller reported itself. [finish]
+   exits 1 after [summary] (default "N failure(s)") if any gate failed,
+   else prints [ok]. *)
+type gates = { prefix : string; mutable failed : int }
 
-let emit_json ~file fields =
-  let fields = ("schema", string_of_int bench_schema_version) :: fields in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "%S:%s" k v))
-    fields;
-  Buffer.add_string buf "}\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "record appended -> %s\n" file
+let gates prefix = { prefix; failed = 0 }
+let count g = g.failed <- g.failed + 1
+
+let fail g fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s\n" g.prefix msg;
+      count g)
+    fmt
+
+let finish ?(summary = Some (Printf.sprintf "%d failure(s)")) ?ok g =
+  if g.failed > 0 then begin
+    Option.iter
+      (fun s -> Printf.eprintf "%s: %s\n" g.prefix (s g.failed))
+      summary;
+    exit 1
+  end;
+  Option.iter print_endline ok
 
 let sched_conv =
   let parse = function
@@ -110,83 +128,13 @@ let sched_flag default =
                  wheel, O(1) amortized) or $(b,heap) (binary heap \
                  baseline). Dispatch order is byte-identical either way.")
 
-let sched_name = function `Heap -> "heap" | `Wheel -> "wheel"
+let sched_name = Uls_bench.Engine_bench.sched_name
 
-(* Parse one flat record emitted by [emit_json] back into fields — the
-   --check gates read committed BENCH_*.json baselines with this. Only
-   handles the shape we emit: one {"k":v,...} object per line, values
-   ints / %.3f floats / bools / %S strings. *)
-let parse_record line =
-  let n = String.length line in
-  let i = ref 0 in
-  let expect c = if !i < n && line.[!i] = c then incr i else raise Exit in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !i >= n then raise Exit
-      else
-        match line.[!i] with
-        | '"' -> incr i
-        | '\\' ->
-          incr i;
-          if !i < n then begin
-            Buffer.add_char b line.[!i];
-            incr i
-          end;
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          incr i;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let fields = ref [] in
-  try
-    expect '{';
-    let rec loop () =
-      if !i < n && line.[!i] = '}' then ()
-      else begin
-        let k = parse_string () in
-        expect ':';
-        let v =
-          if !i < n && line.[!i] = '"' then parse_string ()
-          else begin
-            let j = !i in
-            while !i < n && line.[!i] <> ',' && line.[!i] <> '}' do
-              incr i
-            done;
-            String.sub line j (!i - j)
-          end
-        in
-        fields := (k, v) :: !fields;
-        if !i < n && line.[!i] = ',' then begin
-          incr i;
-          loop ()
-        end
-      end
-    in
-    loop ();
-    Some (List.rev !fields)
-  with Exit -> None
-
-let read_records file =
-  if not (Sys.file_exists file) then []
-  else begin
-    let ic = open_in file in
-    let recs = ref [] in
-    (try
-       while true do
-         match parse_record (input_line ic) with
-         | Some r -> recs := r :: !recs
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !recs
-  end
+(* Kernel TCP takes no NIC tag matching, so its records say "n/a". *)
+let match_name kind engine =
+  match kind with
+  | Uls_bench.Chaos.Tcp _ -> "n/a"
+  | Uls_bench.Chaos.Sub _ -> Uls_nic.Match_list.engine_name engine
 
 let match_conv =
   let parse s =
@@ -207,11 +155,6 @@ let match_engine_flag =
                  (the paper's measured O(descriptors) walk, kept as the \
                  ablation baseline).")
 
-let json_int i = string_of_int i
-let json_float f = Printf.sprintf "%.3f" f
-let json_str s = Printf.sprintf "%S" s
-let json_bool b = if b then "true" else "false"
-
 let latency_cmd =
   let stack =
     Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
@@ -222,19 +165,12 @@ let latency_cmd =
   in
   let iters = Arg.(value & opt int 30 & info [ "iters" ] ~doc:"Iterations.") in
   let run stack size iters metrics =
-    if metrics then begin
-      let us, _, m =
-        Uls_bench.Microbench.ping_pong_observed ~iters
-          ~kind:(kind_of_stack stack) ~size ()
-      in
-      Printf.printf "%d-byte one-way latency: %.2f us\n" size us;
-      dump_metrics m
-    end
-    else
-      let us =
-        Uls_bench.Microbench.ping_pong ~iters ~kind:(kind_of_stack stack) ~size ()
-      in
-      Printf.printf "%d-byte one-way latency: %.2f us\n" size us
+    let us, _, m =
+      Uls_bench.Microbench.ping_pong_observed ~iters ~kind:(kind_of_stack stack)
+        ~size ()
+    in
+    Printf.printf "%d-byte one-way latency: %.2f us\n" size us;
+    if metrics then dump_metrics m
   in
   Cmd.v
     (Cmd.info "latency" ~doc:"Ping-pong one-way latency on a 2-node cluster")
@@ -253,19 +189,12 @@ let bandwidth_cmd =
            ~doc:"Total bytes to stream.")
   in
   let run stack msg total metrics =
-    if metrics then begin
-      let mbps, _, m =
-        Uls_bench.Microbench.bandwidth_observed ~total
-          ~kind:(kind_of_stack stack) ~msg ()
-      in
-      Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps;
-      dump_metrics m
-    end
-    else
-      let mbps =
-        Uls_bench.Microbench.bandwidth ~total ~kind:(kind_of_stack stack) ~msg ()
-      in
-      Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps
+    let mbps, _, m =
+      Uls_bench.Microbench.bandwidth_observed ~total ~kind:(kind_of_stack stack)
+        ~msg ()
+    in
+    Printf.printf "stream bandwidth (%d-byte messages): %.1f Mb/s\n" msg mbps;
+    if metrics then dump_metrics m
   in
   Cmd.v
     (Cmd.info "bandwidth" ~doc:"Unidirectional stream bandwidth")
@@ -297,35 +226,23 @@ let chaos_cmd =
          & info [ "loss" ] ~docv:"P,P,..."
              ~doc:"Frame-loss probabilities to sweep (fractions, not %).")
   in
-  let chaos_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench chaos: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Uls_bench.Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned ->
-      Uls_bench.Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Uls_bench.Chaos.Sub Uls_substrate.Options.data_streaming_enhanced
-    | `Ds_base -> Uls_bench.Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Uls_bench.Chaos.Sub Uls_substrate.Options.datagram
-  in
   let run stacks seed total msg rates =
-    let failures = ref 0 in
+    let g = gates "ulsbench chaos" in
     List.iter
       (fun stack ->
-        let kind = chaos_kind stack in
+        let kind =
+          sock_kind ~cmd:"chaos"
+            ~ds:Uls_substrate.Options.data_streaming_enhanced stack
+        in
         let rows = Uls_bench.Chaos.sweep ~seed ~rates ~total ~msg ~kind () in
         Uls_bench.Chaos.print_table Format.std_formatter ~kind rows;
         List.iter
           (fun r ->
             if not (r.Uls_bench.Chaos.completed && r.Uls_bench.Chaos.intact)
-            then incr failures)
+            then count g)
           rows)
       stacks;
-    if !failures > 0 then begin
-      Printf.eprintf "ulsbench chaos: %d run(s) hung or corrupted data\n"
-        !failures;
-      exit 1
-    end
+    finish g ~summary:(Some (Printf.sprintf "%d run(s) hung or corrupted data"))
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -344,16 +261,6 @@ let serve_cmd =
            ~doc:"tcp | tcp-tuned | ds | ds-base | dg. For serving, ds maps \
                  to the substrate's server preset (small per-connection \
                  buffers, piggy-backed acks).")
-  in
-  let serve_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench serve: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned -> Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Chaos.Sub Uls_substrate.Options.server
-    | `Ds_base -> Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Chaos.Sub Uls_substrate.Options.datagram
   in
   let workload_conv =
     let parse = function
@@ -424,7 +331,7 @@ let serve_cmd =
   let build_config stack workload open_loop ~conns ~requests ~size ~think
       ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
       ~event_sched =
-    let kind = serve_kind stack in
+    let kind = sock_kind ~cmd:"serve" ~ds:Uls_substrate.Options.server stack in
     let client_nodes =
       if clients > 0 then clients else max 2 (min 8 ((conns + 511) / 512))
     in
@@ -467,46 +374,43 @@ let serve_cmd =
     r
   in
   let serve_json cfg (r : Load.report) =
-    emit_json ~file:"BENCH_serve.json"
+    Record.emit ~file:"BENCH_serve.json"
       [
-        ("bench", json_str "serve");
-        ("stack", json_str (Chaos.kind_name cfg.Load.kind));
+        ("bench", Str "serve");
+        ("stack", Str (Chaos.kind_name cfg.Load.kind));
         ("workload",
-         json_str
-           (match cfg.Load.workload with Load.Echo -> "echo" | Load.Http -> "http"));
+         Str
+           (match cfg.Load.workload with
+           | Load.Echo -> "echo"
+           | Load.Http -> "http"));
         ("loop",
-         json_str
+         Str
            (match cfg.Load.loop with
            | Load.Closed -> "closed"
            | Load.Open r -> Printf.sprintf "open@%.0f" r));
-        ("match",
-         json_str
-           (match cfg.Load.kind with
-           | Chaos.Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-           | Chaos.Sub _ ->
-             Uls_nic.Match_list.engine_name cfg.Load.match_engine));
-        ("sched", json_str (sched_name cfg.Load.event_sched));
-        ("conns", json_int cfg.Load.conns);
-        ("requests_per_conn", json_int cfg.Load.requests_per_conn);
-        ("size", json_int cfg.Load.size);
-        ("seed", json_int cfg.Load.seed);
-        ("loss", json_float cfg.Load.loss);
-        ("sent", json_int r.Load.sent);
-        ("completed", json_int r.Load.completed);
-        ("shed", json_int r.Load.shed);
-        ("refused", json_int r.Load.refused);
-        ("errors", json_int r.Load.errors);
-        ("mismatches", json_int r.Load.mismatches);
-        ("peak_open", json_int r.Load.peak_open);
-        ("elapsed_ms", json_float r.Load.elapsed_ms);
-        ("rps", json_float r.Load.rps);
-        ("mean_us", json_float r.Load.mean_us);
-        ("p50_us", json_float r.Load.p50_us);
-        ("p95_us", json_float r.Load.p95_us);
-        ("p99_us", json_float r.Load.p99_us);
-        ("p999_us", json_float r.Load.p999_us);
-        ("intact", json_bool r.Load.intact);
-        ("completed_run", json_bool r.Load.completed_run);
+        ("match", Str (match_name cfg.Load.kind cfg.Load.match_engine));
+        ("sched", Str (sched_name cfg.Load.event_sched));
+        ("conns", Int cfg.Load.conns);
+        ("requests_per_conn", Int cfg.Load.requests_per_conn);
+        ("size", Int cfg.Load.size);
+        ("seed", Int cfg.Load.seed);
+        ("loss", Float cfg.Load.loss);
+        ("sent", Int r.Load.sent);
+        ("completed", Int r.Load.completed);
+        ("shed", Int r.Load.shed);
+        ("refused", Int r.Load.refused);
+        ("errors", Int r.Load.errors);
+        ("mismatches", Int r.Load.mismatches);
+        ("peak_open", Int r.Load.peak_open);
+        ("elapsed_ms", Float r.Load.elapsed_ms);
+        ("rps", Float r.Load.rps);
+        ("mean_us", Float r.Load.mean_us);
+        ("p50_us", Float r.Load.p50_us);
+        ("p95_us", Float r.Load.p95_us);
+        ("p99_us", Float r.Load.p99_us);
+        ("p999_us", Float r.Load.p999_us);
+        ("intact", Bool r.Load.intact);
+        ("completed_run", Bool r.Load.completed_run);
       ]
   in
   let run stack conns requests size workload open_loop think seed loss clients
@@ -515,7 +419,7 @@ let serve_cmd =
     if smoke then begin
       (* Pinned-seed CI matrix; flags other than --metrics and --sched
          are ignored. *)
-      let failures = ref 0 in
+      let g = gates "ulsbench serve --smoke" in
       let smoke_config ?(match_engine = Uls_nic.Match_list.Hashed) stack
           workload =
         build_config stack workload None ~conns:128 ~requests:4 ~size:256
@@ -528,7 +432,7 @@ let serve_cmd =
             (r.Load.completed_run && r.Load.intact && r.Load.errors = 0
            && r.Load.shed = 0 && r.Load.refused = 0 && r.Load.mismatches = 0
            && r.Load.completed = r.Load.sent)
-        then incr failures
+        then count g
       in
       List.iter
         (fun (st, w) -> check (run_one ?on_metrics (smoke_config st w)))
@@ -538,10 +442,7 @@ let serve_cmd =
       let cfg = smoke_config `Ds Load.Echo in
       let a = Load.run cfg and b = Load.run cfg in
       check a;
-      if a <> b then begin
-        prerr_endline "ulsbench serve --smoke: seeded runs diverged";
-        incr failures
-      end;
+      if a <> b then fail g "seeded runs diverged";
       (* Match-engine ablation at the 512-conn row (where the linear
          walk's O(posted descriptors) cost begins to bite): hashed must
          be at least as fast as linear on both stacks, and the hashed
@@ -558,28 +459,16 @@ let serve_cmd =
       let hsh = run_one ?on_metrics (scale_config `Ds Uls_nic.Match_list.Hashed) in
       check lin;
       check hsh;
-      if hsh.Load.rps < lin.Load.rps *. 0.999 then begin
-        Printf.eprintf
-          "ulsbench serve --smoke: hashed slower than linear at 512 \
-           conns (%.0f vs %.0f req/s)\n"
+      if hsh.Load.rps < lin.Load.rps *. 0.999 then
+        fail g "hashed slower than linear at 512 conns (%.0f vs %.0f req/s)"
           hsh.Load.rps lin.Load.rps;
-        incr failures
-      end;
       (* TCP at the same 512-conn point, once. *)
       check (run_one ?on_metrics (scale_config `Tcp Uls_nic.Match_list.Hashed));
       let cfg = scale_config `Ds Uls_nic.Match_list.Hashed in
       let a = Load.run cfg and b = Load.run cfg in
       check a;
-      if a <> b then begin
-        prerr_endline
-          "ulsbench serve --smoke: hashed 512-conn seeded runs diverged";
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench serve --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "serve smoke: ok"
+      if a <> b then fail g "hashed 512-conn seeded runs diverged";
+      finish g ~ok:"serve smoke: ok"
     end
     else begin
       let cfg =
@@ -611,16 +500,6 @@ let fabric_cmd =
   let stack =
     Arg.(value & opt stack_conv `Ds & info [ "stack" ] ~docv:"STACK"
            ~doc:"tcp | tcp-tuned | ds | ds-base | dg.")
-  in
-  let fabric_kind = function
-    | `Emp ->
-      prerr_endline "ulsbench fabric: raw EMP has no sockets stream; use ds/dg";
-      exit 124
-    | `Tcp -> Chaos.Tcp Uls_tcp.Config.default
-    | `Tcp_tuned -> Chaos.Tcp Uls_tcp.Config.(with_buffers default 262_144)
-    | `Ds -> Chaos.Sub Uls_substrate.Options.server
-    | `Ds_base -> Chaos.Sub Uls_substrate.Options.data_streaming
-    | `Dg -> Chaos.Sub Uls_substrate.Options.datagram
   in
   (* "CELL@MS": cell id and a virtual-time instant in milliseconds. *)
   let cell_at_conv =
@@ -711,7 +590,7 @@ let fabric_cmd =
       ~event_sched =
     {
       Fleet.default with
-      kind = fabric_kind stack;
+      kind = sock_kind ~cmd:"fabric" ~ds:Uls_substrate.Options.server stack;
       match_engine;
       event_sched;
       cells;
@@ -732,49 +611,44 @@ let fabric_cmd =
     }
   in
   let fabric_json (cfg : Fleet.config) (r : Fleet.report) =
-    emit_json ~file:"BENCH_fabric.json"
-      ([
-         ("bench", json_str "fabric");
-         ("stack", json_str (Chaos.kind_name cfg.Fleet.kind));
-         ("cells", json_int cfg.Fleet.cells);
-         ("shards", json_int cfg.Fleet.shards);
-         ("match",
-          json_str
-            (match cfg.Fleet.kind with
-            | Chaos.Tcp _ -> "n/a" (* kernel path: no NIC tag matching *)
-            | Chaos.Sub _ ->
-              Uls_nic.Match_list.engine_name cfg.Fleet.match_engine));
-         ("sched", json_str (sched_name cfg.Fleet.event_sched));
-         ("conns", json_int cfg.Fleet.conns);
-         ("requests_per_conn", json_int cfg.Fleet.requests_per_conn);
-         ("size", json_int cfg.Fleet.size);
-         ("rate", json_float cfg.Fleet.rate);
-         ("seed", json_int cfg.Fleet.seed);
-         ("loss", json_float cfg.Fleet.loss);
-         ("kill", json_bool (cfg.Fleet.kill <> None));
-         ("drain", json_bool (cfg.Fleet.drain <> None));
-         ("established", json_int r.Fleet.established);
-         ("completed", json_int r.Fleet.completed);
-         ("shed", json_int r.Fleet.shed);
-         ("refused", json_int r.Fleet.refused);
-         ("resets", json_int r.Fleet.resets);
-         ("errors", json_int r.Fleet.errors);
-         ("mismatches", json_int r.Fleet.mismatches);
-         ("remapped", json_int r.Fleet.remapped);
-         ("peak_open", json_int r.Fleet.peak_open);
-         ("peak_cell_open", json_int r.Fleet.peak_cell_open);
-         ("healed_at_ms", json_float r.Fleet.healed_at_ms);
-         ("drained_at_ms", json_float r.Fleet.drained_at_ms);
-         ("elapsed_ms", json_float r.Fleet.elapsed_ms);
-         ("rps", json_float r.Fleet.rps);
-         ("mean_us", json_float r.Fleet.mean_us);
-         ("p50_us", json_float r.Fleet.p50_us);
-         ("p95_us", json_float r.Fleet.p95_us);
-         ("p99_us", json_float r.Fleet.p99_us);
-         ("p999_us", json_float r.Fleet.p999_us);
-         ("intact", json_bool r.Fleet.intact);
-         ("completed_run", json_bool r.Fleet.completed_run);
-       ])
+    Record.emit ~file:"BENCH_fabric.json"
+      [
+        ("bench", Str "fabric");
+        ("stack", Str (Chaos.kind_name cfg.Fleet.kind));
+        ("cells", Int cfg.Fleet.cells);
+        ("shards", Int cfg.Fleet.shards);
+        ("match", Str (match_name cfg.Fleet.kind cfg.Fleet.match_engine));
+        ("sched", Str (sched_name cfg.Fleet.event_sched));
+        ("conns", Int cfg.Fleet.conns);
+        ("requests_per_conn", Int cfg.Fleet.requests_per_conn);
+        ("size", Int cfg.Fleet.size);
+        ("rate", Float cfg.Fleet.rate);
+        ("seed", Int cfg.Fleet.seed);
+        ("loss", Float cfg.Fleet.loss);
+        ("kill", Bool (cfg.Fleet.kill <> None));
+        ("drain", Bool (cfg.Fleet.drain <> None));
+        ("established", Int r.Fleet.established);
+        ("completed", Int r.Fleet.completed);
+        ("shed", Int r.Fleet.shed);
+        ("refused", Int r.Fleet.refused);
+        ("resets", Int r.Fleet.resets);
+        ("errors", Int r.Fleet.errors);
+        ("mismatches", Int r.Fleet.mismatches);
+        ("remapped", Int r.Fleet.remapped);
+        ("peak_open", Int r.Fleet.peak_open);
+        ("peak_cell_open", Int r.Fleet.peak_cell_open);
+        ("healed_at_ms", Float r.Fleet.healed_at_ms);
+        ("drained_at_ms", Float r.Fleet.drained_at_ms);
+        ("elapsed_ms", Float r.Fleet.elapsed_ms);
+        ("rps", Float r.Fleet.rps);
+        ("mean_us", Float r.Fleet.mean_us);
+        ("p50_us", Float r.Fleet.p50_us);
+        ("p95_us", Float r.Fleet.p95_us);
+        ("p99_us", Float r.Fleet.p99_us);
+        ("p999_us", Float r.Fleet.p999_us);
+        ("intact", Bool r.Fleet.intact);
+        ("completed_run", Bool r.Fleet.completed_run);
+      ]
   in
   let run stack cells shards conns requests size rate think clients seed loss
       max_inflight backlog vnodes kill drain match_engine event_sched smoke
@@ -783,7 +657,7 @@ let fabric_cmd =
     if smoke then begin
       (* Pinned-seed CI matrix: cells x stacks, plus one kill-failover
          run; flags other than --metrics and --sched are ignored. *)
-      let failures = ref 0 in
+      let g = gates "ulsbench fabric --smoke" in
       let base stack cells =
         build ~stack ~cells ~shards:2 ~conns:256 ~requests:2 ~size:128
           ~rate:8_000. ~think:0. ~clients:4 ~seed:42 ~loss:0. ~max_inflight:0
@@ -797,10 +671,7 @@ let fabric_cmd =
              || r.Fleet.refused = 0 && r.Fleet.resets = 0
                 && r.Fleet.errors = 0)
         in
-        if not ok then begin
-          Printf.eprintf "ulsbench fabric --smoke: %s failed\n" name;
-          incr failures
-        end
+        if not ok then fail g "%s failed" name
       in
       List.iter
         (fun (st, cells) ->
@@ -826,24 +697,14 @@ let fabric_cmd =
           check
             (Printf.sprintf "%s/kill" (Chaos.kind_name cfg.Fleet.kind))
             ~allow_failures:true r;
-          if r.Fleet.healed_at_ms < 0. then begin
-            prerr_endline "ulsbench fabric --smoke: ring never healed";
-            incr failures
-          end)
+          if r.Fleet.healed_at_ms < 0. then fail g "ring never healed")
         [ `Ds; `Tcp ];
       (* Determinism: same seed, byte-identical report. *)
       let cfg = base `Ds 4 in
       let a = Fleet.run cfg and b = Fleet.run cfg in
       check "determinism" a;
-      if a <> b then begin
-        prerr_endline "ulsbench fabric --smoke: seeded runs diverged";
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench fabric --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "fabric smoke: ok"
+      if a <> b then fail g "seeded runs diverged";
+      finish g ~ok:"fabric smoke: ok"
     end
     else begin
       let cfg =
@@ -1002,37 +863,25 @@ let collective_cmd =
       exit 124
     end;
     let alg_name = Uls_collective.Group.algorithm_name alg in
-    match op with
-    | `Barrier ->
-      if metrics then begin
+    let m =
+      match op with
+      | `Barrier ->
         let us, _, m =
           Uls_bench.Microbench.barrier_latency_observed ~iters ~alg ~nodes ()
         in
         Printf.printf "%d-node %s barrier: %.2f us\n" nodes alg_name us;
-        dump_metrics m
-      end
-      else
-        let us = Uls_bench.Microbench.barrier_latency ~iters ~alg ~nodes () in
-        Printf.printf "%d-node %s barrier: %.2f us\n" nodes alg_name us
-    | (`Bcast | `Allreduce) as op ->
-      let op_name =
-        match op with `Bcast -> "bcast" | `Allreduce -> "allreduce"
-      in
-      if metrics then begin
+        m
+      | (`Bcast | `Allreduce) as op ->
         let mbps, _, m =
           Uls_bench.Microbench.coll_bandwidth_observed ~iters ~op ~alg ~nodes
             ~size ()
         in
         Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
-          op_name size mbps;
-        dump_metrics m
-      end
-      else
-        let mbps =
-          Uls_bench.Microbench.coll_bandwidth ~iters ~op ~alg ~nodes ~size ()
-        in
-        Printf.printf "%d-node %s %s (%d B): %.1f Mb/s\n" nodes alg_name
-          op_name size mbps
+          (match op with `Bcast -> "bcast" | `Allreduce -> "allreduce")
+          size mbps;
+        m
+    in
+    if metrics then dump_metrics m
   in
   Cmd.v
     (Cmd.info "collective"
@@ -1064,20 +913,6 @@ let engine_cmd =
          & info [ "baseline" ] ~docv:"FILE"
              ~doc:"Committed pinned-seed baseline the --check gate reads.")
   in
-  let engine_json (r : Engine_bench.row) =
-    emit_json ~file:"BENCH_engine.json"
-      [
-        ("bench", json_str "engine");
-        ("scenario", json_str r.Engine_bench.scenario);
-        ("sched", json_str (sched_name r.Engine_bench.sched));
-        ("conns", json_int r.Engine_bench.conns);
-        ("events", json_int r.Engine_bench.events);
-        ("elapsed_s", json_float r.Engine_bench.elapsed_s);
-        ("events_per_sec", json_float r.Engine_bench.events_per_sec);
-        ("minor_words_per_event",
-         json_float r.Engine_bench.minor_words_per_event);
-      ]
-  in
   let run json check baseline_file =
     let rows = Engine_bench.run_all () in
     let find sched name =
@@ -1106,125 +941,17 @@ let engine_cmd =
               r.Engine_bench.minor_words_per_event)
           [ h; w ])
       Engine_bench.shapes;
-    if json then List.iter engine_json rows;
-    if check then begin
-      let failures = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            Printf.eprintf "ulsbench engine --check: %s\n" msg;
-            incr failures)
-          fmt
-      in
-      (* Dispatch parity: the wheel is a drop-in replacement, so both
-         schedulers must execute exactly the same events. *)
+    if json then
       List.iter
-        (fun sh ->
-          let name = sh.Engine_bench.sh_name in
-          let h = find `Heap name and w = find `Wheel name in
-          if h.Engine_bench.events <> w.Engine_bench.events then
-            fail "%s: heap dispatched %d events, wheel %d" name
-              h.Engine_bench.events w.Engine_bench.events)
-        Engine_bench.shapes;
-      (* Allocation sanitizer: the steady-state cost is the workload's
-         own per-cycle closures (measured 9-12.2 minor words/event
-         across shapes); the dispatch loop — including the analysis
-         instrumentation hooks when no tracker is attached — must add
-         nothing. 14.0 leaves noise headroom yet trips on a single
-         boxed allocation per event on the heavier shapes. *)
-      let alloc_ceiling = 14.0 in
-      List.iter
-        (fun (r : Engine_bench.row) ->
-          if r.Engine_bench.minor_words_per_event > alloc_ceiling then
-            fail
-              "%s/%s: %.2f minor words/event exceeds the %.1f allocation \
-               ceiling (engine hot path started allocating)"
-              r.Engine_bench.scenario
-              (sched_name r.Engine_bench.sched)
-              r.Engine_bench.minor_words_per_event alloc_ceiling)
+        (fun r ->
+          Record.emit ~file:"BENCH_engine.json" (Engine_bench.to_record r))
         rows;
-      (* The tentpole claim: O(1) queue ops must show at fleet scale. *)
-      let h = find `Heap "fabric-65536" and w = find `Wheel "fabric-65536" in
-      if
-        w.Engine_bench.events_per_sec
-        < 2.0 *. h.Engine_bench.events_per_sec
-      then
-        fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s"
-          w.Engine_bench.events_per_sec h.Engine_bench.events_per_sec;
-      (* Baseline gates. Event counts are deterministic, so they must
-         match the committed records exactly; raw events/sec is machine-
-         dependent, so the regression gate runs on the wheel-vs-heap
-         speedup ratio (machine-independent to first order): each
-         scenario's measured ratio must reach 80% of the baseline's. *)
-      let base = read_records baseline_file in
-      let base_field recs key =
-        List.filter_map
-          (fun r ->
-            match
-              ( List.assoc_opt "bench" r,
-                List.assoc_opt "scenario" r,
-                List.assoc_opt "sched" r,
-                List.assoc_opt key r )
-            with
-            | Some "engine", Some sc, Some sd, Some v -> Some ((sc, sd), v)
-            | _ -> None)
-          recs
-      in
-      let last_of assoc k =
-        List.fold_left
-          (fun acc (k', v) -> if k' = k then Some v else acc)
-          None assoc
-      in
-      let base_events = base_field base "events" in
-      let base_eps = base_field base "events_per_sec" in
-      if base_events = [] then
-        Printf.printf
-          "engine --check: no baseline records in %s; skipping baseline \
-           gates\n"
-          baseline_file
-      else
-        List.iter
-          (fun sh ->
-            let name = sh.Engine_bench.sh_name in
-            let h = find `Heap name and w = find `Wheel name in
-            List.iter
-              (fun (r : Engine_bench.row) ->
-                match
-                  last_of base_events (name, sched_name r.Engine_bench.sched)
-                with
-                | Some v when int_of_string v <> r.Engine_bench.events ->
-                  fail "%s/%s: %d events, baseline %s (event structure \
-                        changed — recapture the baseline deliberately)"
-                    name
-                    (sched_name r.Engine_bench.sched)
-                    r.Engine_bench.events v
-                | _ -> ())
-              [ h; w ];
-            match
-              ( last_of base_eps (name, "heap"),
-                last_of base_eps (name, "wheel") )
-            with
-            | Some bh, Some bw ->
-              let bh = float_of_string bh and bw = float_of_string bw in
-              if bh > 0. && h.Engine_bench.events_per_sec > 0. then begin
-                let base_ratio = bw /. bh in
-                let ratio =
-                  w.Engine_bench.events_per_sec
-                  /. h.Engine_bench.events_per_sec
-                in
-                if ratio < 0.8 *. base_ratio then
-                  fail
-                    "%s: wheel/heap speedup %.2fx regressed more than 20%% \
-                     from baseline %.2fx"
-                    name ratio base_ratio
-              end
-            | _ -> ())
-          Engine_bench.shapes;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench engine --check: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "engine check: ok"
+    if check then begin
+      let g = gates "ulsbench engine --check" in
+      List.iter (fail g "%s")
+        (Engine_bench.check ~file:baseline_file (Record.read baseline_file)
+           rows);
+      finish g ~ok:"engine check: ok"
     end
   in
   Cmd.v
@@ -1290,36 +1017,6 @@ let firehose_cmd =
          & info [ "baseline" ] ~docv:"FILE"
              ~doc:"Committed pinned-seed baseline the --check gate reads.")
   in
-  let firehose_json (cfg : Firehose.config) (r : Firehose.report) =
-    emit_json ~file:"BENCH_rings.json"
-      [
-        ("bench", json_str "firehose");
-        ("match",
-         json_str (Uls_nic.Match_list.engine_name cfg.Firehose.match_engine));
-        ("sched", json_str (sched_name cfg.Firehose.event_sched));
-        ("sinks", json_int cfg.Firehose.sinks);
-        ("count", json_int cfg.Firehose.count);
-        ("size", json_int cfg.Firehose.size);
-        ("batch", json_int cfg.Firehose.batch);
-        ("busy_poll", json_bool cfg.Firehose.busy_poll);
-        ("seed", json_int cfg.Firehose.seed);
-        ("loss", json_float cfg.Firehose.loss);
-        ("messages", json_int r.Firehose.messages);
-        ("delivered", json_int r.Firehose.delivered);
-        ("mismatches", json_int r.Firehose.mismatches);
-        ("elapsed_ms", json_float r.Firehose.elapsed_ms);
-        ("pps", json_float r.Firehose.pps);
-        ("mbps", json_float r.Firehose.mbps);
-        ("doorbells", json_int r.Firehose.doorbells);
-        ("mailbox_fetches", json_int r.Firehose.mailbox_fetches);
-        ("ring_submitted", json_int r.Firehose.ring_submitted);
-        ("ring_doorbells", json_int r.Firehose.ring_doorbells);
-        ("faults", json_int r.Firehose.faults_injected);
-        ("retransmits", json_int r.Firehose.retransmits);
-        ("intact", json_bool r.Firehose.intact);
-        ("completed_run", json_bool r.Firehose.completed_run);
-      ]
-  in
   let run sinks count size batch busy_poll seed loss match_engine event_sched
       metrics json check baseline_file =
     let on_metrics = if metrics then Some dump_metrics else None in
@@ -1342,118 +1039,24 @@ let firehose_cmd =
       }
     in
     if check then begin
-      let failures = ref 0 in
-      let fail fmt =
-        Printf.ksprintf
-          (fun msg ->
-            Printf.eprintf "ulsbench firehose --check: %s\n" msg;
-            incr failures)
-          fmt
-      in
+      let g = gates "ulsbench firehose --check" in
       let gate_cfg =
-        { Firehose.default with Firehose.match_engine; event_sched }
+        { Firehose.default with Firehose.match_engine; event_sched; batch = 32 }
       in
-      let sane tag (r : Firehose.report) =
-        if not (r.Firehose.completed_run && r.Firehose.intact) then
-          fail "%s: run incomplete or corrupt (%d/%d delivered, %d \
-                mismatches)"
-            tag r.Firehose.delivered r.Firehose.messages
-            r.Firehose.mismatches
-      in
-      (* Doorbell audit: once a run drains, every NIC mailbox fetch must
-         be explained by a doorbell — the metric pair that caught the TX
-         double-charge. At batch depth > 1 a doorbell rung while the
-         firmware is mid-fetch coalesces into that fetch, so doorbells
-         may lead fetches by a handful; a fetch with no doorbell (or a
-         large gap) still fails. Batch=1 serialises doorbell/fetch pairs
-         and must agree exactly. *)
-      let audit ?(exact = false) tag (r : Firehose.report) =
-        let d = r.Firehose.doorbells and f = r.Firehose.mailbox_fetches in
-        let bad = if exact then d <> f else f > d || d - f > 16 in
-        if bad then
-          fail "%s: doorbell audit: %d doorbells vs %d mailbox fetches"
-            tag d f
-      in
-      let r32 = run_one { gate_cfg with Firehose.batch = 32 } in
-      sane "batch=32" r32;
-      audit "batch=32" r32;
-      let r1 = run_one { gate_cfg with Firehose.batch = 1 } in
-      sane "batch=1" r1;
-      audit ~exact:true "batch=1" r1;
-      (* The tentpole claim: one doorbell per batch must show up as
-         small-message throughput. *)
-      if r1.Firehose.pps > 0. && r32.Firehose.pps < 2.0 *. r1.Firehose.pps
-      then
-        fail "batch=32 pps %.0f < 2x batch=1 pps %.0f" r32.Firehose.pps
-          r1.Firehose.pps;
-      (* Busy-poll delivers the same bytes without any doorbells. *)
-      let rbp =
-        run_one { gate_cfg with Firehose.batch = 32; busy_poll = true }
-      in
-      sane "busy-poll" rbp;
-      if rbp.Firehose.ring_doorbells <> 0 then
-        fail "busy-poll: tx ring rang %d doorbells"
-          rbp.Firehose.ring_doorbells;
-      if rbp.Firehose.delivered <> r32.Firehose.delivered then
-        fail "busy-poll delivered %d, wakeup delivered %d"
-          rbp.Firehose.delivered r32.Firehose.delivered;
-      (* Chaos leg: 2% uniform loss, still byte-exact. *)
-      let rloss =
-        run_one { gate_cfg with Firehose.batch = 32; loss = 0.02 }
-      in
-      sane "loss=0.02" rloss;
-      if rloss.Firehose.faults_injected = 0 then
-        fail "loss=0.02: fault engine injected nothing";
-      (* Determinism: same config, byte-identical report. *)
-      let a = Firehose.run { gate_cfg with Firehose.batch = 32 } in
-      if a <> r32 then fail "batch=32 seeded runs diverged";
-      (* Baseline gate: pps is virtual-time throughput — deterministic —
-         so a regression below 80% of the committed record is a real
-         cost-model or path regression, not machine noise. *)
-      let base = read_records baseline_file in
-      let base_pps =
-        List.fold_left
-          (fun acc r ->
-            match
-              ( List.assoc_opt "bench" r,
-                List.assoc_opt "batch" r,
-                List.assoc_opt "size" r,
-                List.assoc_opt "busy_poll" r,
-                List.assoc_opt "loss" r,
-                List.assoc_opt "pps" r )
-            with
-            | ( Some "firehose",
-                Some "32",
-                Some s,
-                Some "false",
-                Some l,
-                Some pps )
-              when int_of_string s = gate_cfg.Firehose.size
-                   && float_of_string l = 0. ->
-              Some (float_of_string pps)
-            | _ -> acc)
-          None base
-      in
-      (match base_pps with
-      | None ->
-        Printf.printf
-          "firehose --check: no baseline record in %s; skipping baseline \
-           gate\n"
-          baseline_file
-      | Some b ->
-        if b > 0. && r32.Firehose.pps < 0.8 *. b then
-          fail "batch=32 pps %.0f below 80%% of baseline %.0f"
-            r32.Firehose.pps b);
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench firehose --check: %d failure(s)\n"
-          !failures;
-        exit 1
-      end;
-      print_endline "firehose check: ok"
+      let batch32 = run_one gate_cfg in
+      let batch1 = run_one { gate_cfg with Firehose.batch = 1 } in
+      let busy_poll_run = run_one { gate_cfg with Firehose.busy_poll = true } in
+      let lossy = run_one { gate_cfg with Firehose.loss = 0.02 } in
+      let rerun = Firehose.run gate_cfg in
+      List.iter (fail g "%s")
+        (Firehose.check ~file:baseline_file (Record.read baseline_file)
+           { Firehose.batch32; batch1; busy_poll_run; lossy; rerun });
+      finish g ~ok:"firehose check: ok"
     end
     else begin
       let r = run_one cfg in
-      if json then firehose_json cfg r;
+      if json then
+        Record.emit ~file:"BENCH_rings.json" (Firehose.to_record cfg r);
       if not (r.Firehose.completed_run && r.Firehose.intact) then exit 1
     end
   in
@@ -1506,30 +1109,29 @@ let storm_cmd =
                  unanswered probe, refusal or divergence.")
   in
   let storm_json (cfg : Storm.config) (r : Storm.report) =
-    emit_json ~file:"BENCH_rings.json"
+    Record.emit ~file:"BENCH_rings.json"
       [
-        ("bench", json_str "storm");
-        ("match",
-         json_str (Uls_nic.Match_list.engine_name cfg.Storm.match_engine));
-        ("sched", json_str (sched_name cfg.Storm.event_sched));
-        ("scanners", json_int cfg.Storm.scanners);
-        ("targets", json_int cfg.Storm.targets);
-        ("window", json_int cfg.Storm.window);
-        ("probes", json_int cfg.Storm.probes);
-        ("batch", json_int cfg.Storm.batch);
-        ("busy_poll", json_bool cfg.Storm.busy_poll);
-        ("seed", json_int cfg.Storm.seed);
-        ("attempts", json_int r.Storm.attempts);
-        ("accepted", json_int r.Storm.accepted);
-        ("refused", json_int r.Storm.refused);
-        ("server_accepts", json_int r.Storm.server_accepts);
-        ("elapsed_ms", json_float r.Storm.elapsed_ms);
-        ("attempts_per_sec", json_float r.Storm.attempts_per_sec);
-        ("mpps", json_float r.Storm.mpps);
-        ("doorbells", json_int r.Storm.doorbells);
-        ("mailbox_fetches", json_int r.Storm.mailbox_fetches);
-        ("intact", json_bool r.Storm.intact);
-        ("completed_run", json_bool r.Storm.completed_run);
+        ("bench", Str "storm");
+        ("match", Str (Uls_nic.Match_list.engine_name cfg.Storm.match_engine));
+        ("sched", Str (sched_name cfg.Storm.event_sched));
+        ("scanners", Int cfg.Storm.scanners);
+        ("targets", Int cfg.Storm.targets);
+        ("window", Int cfg.Storm.window);
+        ("probes", Int cfg.Storm.probes);
+        ("batch", Int cfg.Storm.batch);
+        ("busy_poll", Bool cfg.Storm.busy_poll);
+        ("seed", Int cfg.Storm.seed);
+        ("attempts", Int r.Storm.attempts);
+        ("accepted", Int r.Storm.accepted);
+        ("refused", Int r.Storm.refused);
+        ("server_accepts", Int r.Storm.server_accepts);
+        ("elapsed_ms", Float r.Storm.elapsed_ms);
+        ("attempts_per_sec", Float r.Storm.attempts_per_sec);
+        ("mpps", Float r.Storm.mpps);
+        ("doorbells", Int r.Storm.doorbells);
+        ("mailbox_fetches", Int r.Storm.mailbox_fetches);
+        ("intact", Bool r.Storm.intact);
+        ("completed_run", Bool r.Storm.completed_run);
       ]
   in
   let run_one cfg =
@@ -1554,32 +1156,20 @@ let storm_cmd =
       }
     in
     if smoke then begin
-      let failures = ref 0 in
+      let g = gates "ulsbench storm --smoke" in
       let gate_cfg = { Storm.default with Storm.match_engine; event_sched } in
       let check tag (r : Storm.report) =
-        if not (r.Storm.completed_run && r.Storm.intact) then begin
-          Printf.eprintf
-            "ulsbench storm --smoke: %s incomplete or refused (%d/%d \
-             answered, %d refused)\n"
-            tag
+        if not (r.Storm.completed_run && r.Storm.intact) then
+          fail g "%s incomplete or refused (%d/%d answered, %d refused)" tag
             (r.Storm.accepted + r.Storm.refused)
-            r.Storm.attempts r.Storm.refused;
-          incr failures
-        end
+            r.Storm.attempts r.Storm.refused
       in
       let r32 = run_one { gate_cfg with Storm.batch = 32 } in
       check "batch=32" r32;
       check "batch=1" (run_one { gate_cfg with Storm.batch = 1 });
       let a = Storm.run { gate_cfg with Storm.batch = 32 } in
-      if a <> r32 then begin
-        prerr_endline "ulsbench storm --smoke: seeded runs diverged";
-        incr failures
-      end;
-      if !failures > 0 then begin
-        Printf.eprintf "ulsbench storm --smoke: %d failure(s)\n" !failures;
-        exit 1
-      end;
-      print_endline "storm smoke: ok"
+      if a <> r32 then fail g "seeded runs diverged";
+      finish g ~ok:"storm smoke: ok"
     end
     else begin
       let r = run_one cfg in
@@ -1701,7 +1291,7 @@ let races_cmd =
         | Some name -> [ find_or_die name ]
         | None -> S.all
       in
-      let failures = ref 0 in
+      let g = gates "ulsbench races" in
       if explore then begin
         (* Systematic mode: scenarios without a bound are skipped (their
            schedule tree is not explorable at useful cost), and that is
@@ -1718,7 +1308,7 @@ let races_cmd =
               print_endline (X.render ~verbose v);
               let ok = if sc.S.sc_buggy then X.flagged v else X.clean v in
               if not ok then begin
-                incr failures;
+                count g;
                 Printf.printf "FAIL: %s %s\n" sc.S.sc_name
                   (if sc.S.sc_buggy then
                      "— systematic exploration no longer finds this seeded \
@@ -1726,8 +1316,7 @@ let races_cmd =
                    else "— not schedule-independent")
               end)
           scenarios;
-        if !failures > 0 then exit 1;
-        print_endline "races --explore: all scenarios OK"
+        finish g ~summary:None ~ok:"races --explore: all scenarios OK"
       end
       else begin
         List.iter
@@ -1740,15 +1329,14 @@ let races_cmd =
             print_endline (A.render ~verbose v);
             let ok = if sc.S.sc_buggy then A.flagged v else A.clean v in
             if not ok then begin
-              incr failures;
+              count g;
               Printf.printf "FAIL: %s %s\n" sc.S.sc_name
                 (if sc.S.sc_buggy then
                    "— the detector no longer catches this seeded regression"
                  else "— not schedule-independent")
             end)
           scenarios;
-        if !failures > 0 then exit 1;
-        print_endline "races: all scenarios OK"
+        finish g ~summary:None ~ok:"races: all scenarios OK"
       end
   in
   Cmd.v

@@ -94,3 +94,104 @@ let run_all () =
   List.concat_map
     (fun sh -> [ run_shape ~sched:`Heap sh; run_shape ~sched:`Wheel sh ])
     shapes
+
+(* --- records and gates -------------------------------------------------- *)
+
+let to_record r =
+  Record.
+    [
+      ("bench", Str "engine");
+      ("scenario", Str r.scenario);
+      ("sched", Str (sched_name r.sched));
+      ("conns", Int r.conns);
+      ("events", Int r.events);
+      ("elapsed_s", Float r.elapsed_s);
+      ("events_per_sec", Float r.events_per_sec);
+      ("minor_words_per_event", Float r.minor_words_per_event);
+    ]
+
+(* The steady-state cost is the workload's own per-cycle closures
+   (measured 9-12.2 minor words/event across shapes); the dispatch loop,
+   including the analysis hooks when no tracker is attached, must add
+   nothing. 14.0 leaves noise headroom yet trips on a single boxed
+   allocation per event on the heavier shapes. *)
+let alloc_ceiling = 14.0
+
+let check ~file baseline rows =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let find sched name =
+    List.find (fun r -> r.scenario = name && r.sched = sched) rows
+  in
+  (* Dispatch parity: the wheel is a drop-in replacement, so both
+     schedulers must execute exactly the same events. *)
+  List.iter
+    (fun sh ->
+      let h = find `Heap sh.sh_name and w = find `Wheel sh.sh_name in
+      if h.events <> w.events then
+        fail "%s: heap dispatched %d events, wheel %d" sh.sh_name h.events
+          w.events)
+    shapes;
+  List.iter
+    (fun r ->
+      if r.minor_words_per_event > alloc_ceiling then
+        fail
+          "%s/%s: %.2f minor words/event exceeds the %.1f allocation \
+           ceiling (engine hot path started allocating)"
+          r.scenario (sched_name r.sched) r.minor_words_per_event alloc_ceiling)
+    rows;
+  (* The wheel's claim: O(1) queue ops must show at fleet scale. *)
+  let h = find `Heap "fabric-65536" and w = find `Wheel "fabric-65536" in
+  if w.events_per_sec < 2.0 *. h.events_per_sec then
+    fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s" w.events_per_sec
+      h.events_per_sec;
+  (* Baseline gates. Event counts are deterministic, so they must match
+     the committed records exactly; raw events/sec is machine-dependent,
+     so the regression gate runs on the wheel-vs-heap speedup ratio
+     (machine-independent to first order): each scenario's measured
+     ratio must reach 80% of the baseline's. *)
+  (match baseline with
+  | Error e -> fail "%s" e
+  | Ok recs ->
+    let base sched name key =
+      Record.last recs key
+        ~where:
+          [
+            ("bench", Str "engine");
+            ("scenario", Str name);
+            ("sched", Str (sched_name sched));
+          ]
+    in
+    List.iter
+      (fun sh ->
+        let name = sh.sh_name in
+        let h = find `Heap name and w = find `Wheel name in
+        List.iter
+          (fun r ->
+            match base r.sched name "events" with
+            | Some (Int v) when v = r.events -> ()
+            | Some (Int v) ->
+              fail
+                "%s/%s: %d events, baseline %d (event structure changed — \
+                 recapture the baseline deliberately)"
+                name (sched_name r.sched) r.events v
+            | _ ->
+              fail "%s/%s: no baseline event count in %s" name
+                (sched_name r.sched) file)
+          [ h; w ];
+        match
+          (base `Heap name "events_per_sec", base `Wheel name "events_per_sec")
+        with
+        | Some (Float bh), Some (Float bw) ->
+          if bh > 0. && h.events_per_sec > 0. then begin
+            let base_ratio = bw /. bh in
+            let ratio = w.events_per_sec /. h.events_per_sec in
+            if ratio < 0.8 *. base_ratio then
+              fail
+                "%s: wheel/heap speedup %.2fx regressed more than 20%% from \
+                 baseline %.2fx"
+                name ratio base_ratio
+          end
+        | _ -> fail "%s: no baseline heap and wheel events/sec in %s" name file)
+      shapes);
+  List.rev !failures

@@ -57,3 +57,16 @@ val run_shape : sched:sched -> shape -> row
 
 val run_all : unit -> row list
 (** Every shape under both schedulers, heap first. *)
+
+val to_record : row -> Record.t
+(** The row as its [BENCH_engine.json] record. *)
+
+val check :
+  file:string -> (Record.t list, string) result -> row list -> string list
+(** The [engine --check] gates over a {!run_all} result and the records
+    read from the baseline [file], as failure messages (none = pass):
+    heap/wheel event-count parity per shape, at most 14.0 minor words
+    per dispatched event on every row, a fabric-65536 wheel at least 2x the heap's events/sec, and per
+    shape and scheduler an event count equal to the baseline's and a
+    wheel/heap speedup at least 0.8x the baseline's. A baseline that
+    failed to read, or lacks a record the gates need, is a failure. *)

@@ -230,3 +230,109 @@ let print_report fmt cfg (r : report) =
     (if r.completed_run && r.intact then "ok"
      else if not r.completed_run then "INCOMPLETE"
      else "CORRUPT")
+
+(* --- records and gates -------------------------------------------------- *)
+
+let to_record cfg r =
+  Record.
+    [
+      ("bench", Str "firehose");
+      ("match", Str (Uls_nic.Match_list.engine_name cfg.match_engine));
+      ("sched", Str (Engine_bench.sched_name cfg.event_sched));
+      ("sinks", Int cfg.sinks);
+      ("count", Int cfg.count);
+      ("size", Int cfg.size);
+      ("batch", Int cfg.batch);
+      ("busy_poll", Bool cfg.busy_poll);
+      ("seed", Int cfg.seed);
+      ("loss", Float cfg.loss);
+      ("messages", Int r.messages);
+      ("delivered", Int r.delivered);
+      ("mismatches", Int r.mismatches);
+      ("elapsed_ms", Float r.elapsed_ms);
+      ("pps", Float r.pps);
+      ("mbps", Float r.mbps);
+      ("doorbells", Int r.doorbells);
+      ("mailbox_fetches", Int r.mailbox_fetches);
+      ("ring_submitted", Int r.ring_submitted);
+      ("ring_doorbells", Int r.ring_doorbells);
+      ("faults", Int r.faults_injected);
+      ("retransmits", Int r.retransmits);
+      ("intact", Bool r.intact);
+      ("completed_run", Bool r.completed_run);
+    ]
+
+type gate_runs = {
+  batch32 : report;
+  batch1 : report;
+  busy_poll_run : report;
+  lossy : report;
+  rerun : report;
+}
+
+let check ~file baseline g =
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let sane tag r =
+    if not (r.completed_run && r.intact) then
+      fail "%s: run incomplete or corrupt (%d/%d delivered, %d mismatches)" tag
+        r.delivered r.messages r.mismatches
+  in
+  (* Doorbell audit: once a run drains, every NIC mailbox fetch must be
+     explained by a doorbell — the metric pair that caught the TX
+     double-charge. At batch depth > 1 a doorbell rung while the
+     firmware is mid-fetch coalesces into that fetch, so doorbells may
+     lead fetches by a handful; a fetch with no doorbell (or a large
+     gap) still fails. Batch=1 serialises doorbell/fetch pairs and must
+     agree exactly. *)
+  let audit ?(exact = false) tag r =
+    let d = r.doorbells and f = r.mailbox_fetches in
+    let bad = if exact then d <> f else f > d || d - f > 16 in
+    if bad then
+      fail "%s: doorbell audit: %d doorbells vs %d mailbox fetches" tag d f
+  in
+  let r32 = g.batch32 and r1 = g.batch1 in
+  sane "batch=32" r32;
+  audit "batch=32" r32;
+  sane "batch=1" r1;
+  audit ~exact:true "batch=1" r1;
+  (* The rings' claim: one doorbell per batch must show up as
+     small-message throughput. *)
+  if r1.pps > 0. && r32.pps < 2.0 *. r1.pps then
+    fail "batch=32 pps %.0f < 2x batch=1 pps %.0f" r32.pps r1.pps;
+  (* Busy-poll delivers the same bytes without any doorbells. *)
+  let rbp = g.busy_poll_run in
+  sane "busy-poll" rbp;
+  if rbp.ring_doorbells <> 0 then
+    fail "busy-poll: tx ring rang %d doorbells" rbp.ring_doorbells;
+  if rbp.delivered <> r32.delivered then
+    fail "busy-poll delivered %d, wakeup delivered %d" rbp.delivered
+      r32.delivered;
+  sane "loss=0.02" g.lossy;
+  if g.lossy.faults_injected = 0 then
+    fail "loss=0.02: fault engine injected nothing";
+  if g.rerun <> r32 then fail "batch=32 seeded runs diverged";
+  (* Baseline gate: pps is virtual-time throughput — deterministic — so a
+     regression below 80% of the committed record is a real cost-model
+     or path regression, not machine noise. *)
+  (match baseline with
+  | Error e -> fail "%s" e
+  | Ok recs -> (
+    match
+      Record.last recs "pps"
+        ~where:
+          [
+            ("bench", Str "firehose");
+            ("batch", Int 32);
+            ("size", Int default.size);
+            ("busy_poll", Bool false);
+            ("loss", Float 0.);
+          ]
+    with
+    | Some (Float b) ->
+      if b > 0. && r32.pps < 0.8 *. b then
+        fail "batch=32 pps %.0f below 80%% of baseline %.0f" r32.pps b
+    | _ ->
+      fail "no batch=32 size=%d loss-free baseline record in %s" default.size
+        file));
+  List.rev !failures

@@ -45,3 +45,28 @@ val run : ?on_metrics:(Uls_engine.Metrics.t -> unit) -> config -> report
     byte-identical report. *)
 
 val print_report : Format.formatter -> config -> report -> unit
+
+val to_record : config -> report -> Record.t
+(** The run as its [BENCH_rings.json] record. *)
+
+(** The [firehose --check] runs, all on {!default} (with the checked
+    match engine and scheduler) at batch 32 unless named otherwise. *)
+type gate_runs = {
+  batch32 : report;
+  batch1 : report;
+  busy_poll_run : report;  (** [busy_poll = true] *)
+  lossy : report;  (** [loss = 0.02] *)
+  rerun : report;  (** [batch32]'s config again, for determinism *)
+}
+
+val check :
+  file:string -> (Record.t list, string) result -> gate_runs -> string list
+(** The [firehose --check] gates over the runs and the records read from
+    the baseline [file], as failure messages (none = pass): every run
+    but [rerun] complete and byte-exact; the doorbell/mailbox-fetch
+    audit exact at batch 1 and within 16 (never fetches ahead) at batch
+    32; batch-32 pps at least 2x batch 1; busy-poll with zero ring
+    doorbells and the same deliveries; the lossy run injecting faults;
+    [rerun] identical to [batch32]; and batch-32 pps at least 80% of the
+    baseline's loss-free batch-32 record at the default size. A baseline
+    that failed to read, or lacks that record, is a failure. *)

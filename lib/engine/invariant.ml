@@ -22,29 +22,9 @@ exception Violation of string
 
 let create sim = { sim; enabled = false; strict = false; violations = [] }
 
-(* Ephemeron-keyed like Metrics/Trace: a collected sim evicts its
-   monitor (the monitor references the sim, so a plain weak key would
-   never die). *)
-module Sim_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = Sim.t
-
-  let equal = ( == )
-  let hash = Sim.uid
-end)
-
-let registry : t Sim_tbl.t = Sim_tbl.create 8
-
-let for_sim sim =
-  match Sim_tbl.find_opt registry sim with
-  | Some t -> t
-  | None ->
-    let t = create sim in
-    Sim_tbl.replace registry sim t;
-    t
-
-let registered_sims () =
-  Sim_tbl.clean registry;
-  Sim_tbl.length registry
+let registry = Sim_table.create create
+let for_sim sim = Sim_table.get registry sim
+let registered_sims () = Sim_table.live registry
 
 let enable ?(strict = false) t =
   t.enabled <- true;

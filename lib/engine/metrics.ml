@@ -23,31 +23,11 @@ let create () =
     histograms = Hashtbl.create 32;
   }
 
-(* Ephemeron-keyed on the sim itself: when a simulation becomes
-   unreachable its metrics registry is collected with it, so sweeps
-   that build thousands of sims (races, chaos, benches) don't grow
-   without bound. An ephemeron (not a plain weak key) is required
-   because registry values may reference their sim. *)
-module Sim_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = Sim.t
-
-  let equal = ( == )
-  let hash = Sim.uid
-end)
-
-let registry : t Sim_tbl.t = Sim_tbl.create 8
-
-let for_sim sim =
-  match Sim_tbl.find_opt registry sim with
-  | Some m -> m
-  | None ->
-    let m = create () in
-    Sim_tbl.replace registry sim m;
-    m
-
-let registered_sims () =
-  Sim_tbl.clean registry;
-  Sim_tbl.length registry
+(* Collected with its sim, so sweeps that build thousands of sims
+   (races, chaos, benches) don't grow without bound. *)
+let registry = Sim_table.create (fun _ -> create ())
+let for_sim sim = Sim_table.get registry sim
+let registered_sims () = Sim_table.live registry
 
 let find tbl mk k =
   match Hashtbl.find_opt tbl k with

@@ -7,10 +7,10 @@ type port = {
 
 type t = {
   sim : Sim.t;
-  metrics : Metrics.t;
-  drop_counters : (string, Stats.Counter.t) Hashtbl.t;
-      (* cause -> handle, memoised so the hot drop path skips the
-         registry's name lookup *)
+  drop_unknown_dst : Stats.Counter.t;
+  drop_queue_full : Stats.Counter.t;
+  drop_fault : Stats.Counter.t;
+  drop_filter : Stats.Counter.t;
   trace : Trace.t;
   fwd_latency : Time.ns;
   queue_limit : int;
@@ -28,10 +28,16 @@ let create sim ?(fwd_latency = 2_500) ?(queue_limit = 262_144) ~ports () =
       queued_bytes = 0;
     }
   in
+  (* Registered up front so a clean run reports each cause at 0 rather
+     than omitting it. *)
+  let metrics = Metrics.for_sim sim in
+  let drop_counter cause = Metrics.counter metrics ("switch.drop." ^ cause) in
   {
     sim;
-    metrics = Metrics.for_sim sim;
-    drop_counters = Hashtbl.create 4;
+    drop_unknown_dst = drop_counter "unknown_dst";
+    drop_queue_full = drop_counter "queue_full";
+    drop_fault = drop_counter "fault";
+    drop_filter = drop_counter "filter";
     trace = Trace.for_sim sim;
     fwd_latency;
     queue_limit;
@@ -67,19 +73,12 @@ let frames_dropped t = t.dropped
 
 (* Every frame the switch loses is attributed to a cause, so a chaos run
    can account for each missing frame: [switch.drop.unknown_dst] (MAC
-   table miss), [switch.drop.queue_full] (egress overflow) and
-   [switch.drop.fault] (injected). *)
-let drop t frame ~cause =
+   table miss), [switch.drop.queue_full] (egress overflow),
+   [switch.drop.fault] (injected) and [switch.drop.filter] (legacy
+   boolean filter). *)
+let drop t frame counter ~cause =
   t.dropped <- t.dropped + 1;
-  let c =
-    match Hashtbl.find_opt t.drop_counters cause with
-    | Some c -> c
-    | None ->
-      let c = Metrics.counter t.metrics ("switch.drop." ^ cause) in
-      Hashtbl.add t.drop_counters cause c;
-      c
-  in
-  Stats.Counter.incr c;
+  Stats.Counter.incr counter;
   Trace.instant t.trace ~layer:Trace.Net "switch.drop"
     ~args:
       [
@@ -90,12 +89,12 @@ let drop t frame ~cause =
 
 let forward t frame =
   match Hashtbl.find_opt t.mac_table frame.Frame.dst with
-  | None -> drop t frame ~cause:"unknown_dst"
+  | None -> drop t frame t.drop_unknown_dst ~cause:"unknown_dst"
   | Some out ->
     let p = t.ports.(out) in
     let wire = Frame.wire_bytes frame in
     if p.queued_bytes + wire > t.queue_limit then
-      drop t frame ~cause:"queue_full"
+      drop t frame t.drop_queue_full ~cause:"queue_full"
     else begin
       p.queued_bytes <- p.queued_bytes + wire;
       t.forwarded <- t.forwarded + 1;
@@ -114,7 +113,8 @@ let ingress t ~port frame =
   | Fault.Drop cause ->
     (* Injected drops all count as "fault"; the legacy boolean filter
        keeps its own cause so old tests can tell them apart. *)
-    drop t frame ~cause:(if cause = "filter" then "filter" else "fault")
+    if cause = "filter" then drop t frame t.drop_filter ~cause
+    else drop t frame t.drop_fault ~cause:"fault"
   | Fault.Corrupt -> forward_after 0 (Frame.corrupt frame)
   | Fault.Duplicate ->
     forward_after 0 frame;

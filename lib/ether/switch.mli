@@ -43,4 +43,6 @@ val frames_forwarded : t -> int
 
 val frames_dropped : t -> int
 (** All causes. Per-cause counts are in the simulation's {!Metrics}
-    registry under ["switch.drop.{unknown_dst,queue_full,fault,filter}"]. *)
+    registry under ["switch.drop.{unknown_dst,queue_full,fault,filter}"],
+    registered when the switch is created, so a cause that never fired
+    reads 0. *)

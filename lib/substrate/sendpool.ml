@@ -18,14 +18,16 @@ type t = {
   mutable next : int;
 }
 
-(* Every pool of a simulation, for the analysis layer's leak scan (keyed
-   by Sim uid, like Metrics). *)
-let registry : (int, t list ref) Hashtbl.t = Hashtbl.create 8
+(* Every pool of a simulation, for the analysis layer's leak scan;
+   collected with the sim, like its Metrics registry. *)
+let registry = Uls_engine.Sim_table.create (fun _ -> ref [])
 
 let pools_for_sim sim =
-  match Hashtbl.find_opt registry (Uls_engine.Sim.uid sim) with
+  match Uls_engine.Sim_table.find registry sim with
   | Some l -> !l
   | None -> []
+
+let registered_sims () = Uls_engine.Sim_table.live registry
 
 let create node emp ~slots ~size =
   let mk _ =
@@ -36,10 +38,8 @@ let create node emp ~slots ~size =
     { region; pending = None }
   in
   let t = { emp; slots = Array.init slots mk; next = 0 } in
-  let key = Uls_engine.Sim.uid (Node.sim node) in
-  (match Hashtbl.find_opt registry key with
-  | Some l -> l := t :: !l
-  | None -> Hashtbl.replace registry key (ref [ t ]));
+  let pools = Uls_engine.Sim_table.get registry (Node.sim node) in
+  pools := t :: !pools;
   t
 
 let in_flight t =

@@ -45,4 +45,9 @@ val in_flight : t -> int
     memory-region leak sanitizer flags it. *)
 
 val pools_for_sim : Uls_engine.Sim.t -> t list
-(** Every pool created under this simulation (for the leak scan). *)
+(** Every pool created under this simulation (for the leak scan). Held
+    in a {!Uls_engine.Sim_table}: when the sim is collected, its pools
+    go too. *)
+
+val registered_sims : unit -> int
+(** Number of live sims with a pool (dead entries swept first). *)

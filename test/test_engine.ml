@@ -718,16 +718,21 @@ let test_time_mbps () =
 
 (* In its own function so the sim is unreachable when it returns. *)
 let make_dead_sim () =
-  let sim = Sim.create () in
+  let c = Uls_bench.Cluster.create ~n:1 () in
+  let sim = Uls_bench.Cluster.sim c in
   Metrics.incr (Metrics.for_sim sim) "dead.counter";
   ignore (Trace.for_sim sim);
-  ignore (Invariant.for_sim sim)
+  ignore (Invariant.for_sim sim);
+  ignore
+    (Uls_substrate.Sendpool.create (Uls_bench.Cluster.node c 0)
+       (Uls_bench.Cluster.emp c 0) ~slots:2 ~size:64)
 
 let test_registry_eviction () =
   Gc.full_major ();
   let bm = Metrics.registered_sims () in
   let bt = Trace.registered_sims () in
   let bi = Invariant.registered_sims () in
+  let bs = Uls_substrate.Sendpool.registered_sims () in
   for _ = 1 to 32 do
     make_dead_sim ()
   done;
@@ -736,6 +741,8 @@ let test_registry_eviction () =
   check_int "metrics entries evicted" bm (Metrics.registered_sims ());
   check_int "trace entries evicted" bt (Trace.registered_sims ());
   check_int "invariant entries evicted" bi (Invariant.registered_sims ());
+  check_int "send-pool entries evicted" bs
+    (Uls_substrate.Sendpool.registered_sims ());
   (* while a sim is live its registry must survive collection *)
   let sim = Sim.create () in
   Metrics.incr (Metrics.for_sim sim) "keep";

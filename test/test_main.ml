@@ -10,4 +10,4 @@ let () =
    @ Test_nic.suites @ Test_emp.suites @ Test_tcp.suites @ Test_substrate.suites
    @ Test_apps.suites @ Test_fdio.suites @ Test_units.suites @ Test_api.suites @ Test_lifecycle.suites @ Test_shape.suites @ Test_collective.suites
    @ Test_chaos.suites @ Test_server.suites @ Test_analysis.suites
-   @ Test_fabric.suites @ Test_rings.suites)
+   @ Test_fabric.suites @ Test_rings.suites @ Test_bench.suites)
