@@ -27,7 +27,7 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            let ml = Uls_nic.Match_list.create () in
            for i = 0 to 63 do
-             Uls_nic.Match_list.post ml ~src:1 ~tag:i i
+             ignore (Uls_nic.Match_list.post ml ~src:1 ~tag:i i)
            done;
            for i = 0 to 63 do
              ignore (Uls_nic.Match_list.take ml ~src:1 ~tag:i)

@@ -105,11 +105,8 @@ let run cfg =
     let node = Cluster.node c sidx in
     if cfg.busy_poll then
       ignore (E.get_tx_ring ~mode:Uls_rings.Ringpair.Busy_poll emp);
-    let mk_region size =
-      let r = Memory.alloc size in
-      Os.prepin (Node.os node) r;
-      r
-    in
+    (* Registered buffers from the node's pool: posts never pin. *)
+    let mk_region = Os.take_region (Node.os node) in
     let slots =
       Array.init cfg.window (fun i ->
           {

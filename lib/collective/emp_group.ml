@@ -6,39 +6,19 @@ type t = {
   eps : Endpoint.t array;
   rank : int;
   os : Uls_host.Os.t;
-  pool : (int, Uls_host.Memory.region Queue.t) Hashtbl.t;
 }
 
-(* Prepinned staging buffers in power-of-two buckets (same idea as the
-   substrate's send pool): collectives reuse a handful of regions, so
-   after warm-up every post hits the translation cache and no pin
-   syscall lands on the timed path. *)
+(* Staging buffers come from the node's registered pool in power-of-two
+   sizes: collectives reuse a handful of regions, so after warm-up every
+   post hits the translation cache and no pin syscall lands on the timed
+   path. *)
 let bucket len =
   let len = max 64 len in
   let b = ref 64 in
   while !b < len do b := !b * 2 done;
   !b
 
-let take t len =
-  let b = bucket len in
-  match Hashtbl.find_opt t.pool b with
-  | Some q when not (Queue.is_empty q) -> Queue.pop q
-  | _ ->
-    let r = Uls_host.Memory.alloc b in
-    Uls_host.Os.prepin t.os r;
-    r
-
-let give t r =
-  let b = Uls_host.Memory.length r in
-  let q =
-    match Hashtbl.find_opt t.pool b with
-    | Some q -> q
-    | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.pool b q;
-      q
-  in
-  Queue.push r q
+let take t len = Uls_host.Os.take_region t.os (bucket len)
 
 let send t ~dst ~tag data =
   let len = String.length data in
@@ -49,7 +29,7 @@ let send t ~dst ~tag data =
     Endpoint.post_send ep ~dst:(Endpoint.node_id t.eps.(dst)) ~tag r ~off:0 ~len
   in
   Endpoint.wait_send ep s;
-  give t r
+  Uls_host.Os.give_region t.os r
 
 let irecv t ~src ~tag ~max =
   let r = take t max in
@@ -62,7 +42,7 @@ let irecv t ~src ~tag ~max =
   fun () ->
     let len, _, _ = Endpoint.wait_recv ep rv in
     let s = Uls_host.Memory.sub_string r ~off:0 ~len in
-    give t r;
+    Uls_host.Os.give_region t.os r;
     s
 
 (* NIC-offloaded barrier/bcast tags live in their own space (no 0x8000
@@ -169,7 +149,6 @@ let create ?(uq_slots = 16) ?(uq_size = 4096) ?(nic = true) eps ~rank =
       eps;
       rank;
       os = Uls_host.Node.os (Endpoint.node ep);
-      pool = Hashtbl.create 8;
     }
   in
   if uq_slots > 0 then Endpoint.provision_unexpected ep ~slots:uq_slots ~size:uq_size;

@@ -59,3 +59,24 @@ let clear r =
   r.buf <- [||];
   r.head <- 0;
   r.len <- 0
+
+(* Drop every dead entry, wherever it sits, keeping the live ones in
+   order; vacated slots are overwritten so nothing dead stays
+   reachable. *)
+let sweep r =
+  let c = cap r in
+  let w = ref 0 in
+  for i = 0 to r.len - 1 do
+    let x = r.buf.((r.head + i) mod c) in
+    if not (r.dead x) then begin
+      r.buf.((r.head + !w) mod c) <- x;
+      incr w
+    end
+  done;
+  if !w = 0 then clear r
+  else begin
+    for i = !w to r.len - 1 do
+      r.buf.((r.head + i) mod c) <- r.buf.(r.head)
+    done;
+    r.len <- !w
+  end

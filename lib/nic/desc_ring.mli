@@ -2,8 +2,8 @@
     posted descriptors of one match key, so the hashed match engine pays
     O(1) per lookup instead of walking every connection's descriptors.
     Descriptors removed through the global match list are tombstoned
-    ([dead] answers true) and reaped lazily when they reach the head, so
-    unposting never needs to find this ring. *)
+    ([dead] answers true) and reaped when they reach the head, or all at
+    once by {!sweep}. *)
 
 type 'a t
 
@@ -21,5 +21,9 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the oldest live entry. *)
+
+val sweep : 'a t -> unit
+(** Drop every dead entry, not just dead heads, keeping the live ones in
+    order. O(occupancy). *)
 
 val clear : 'a t -> unit

@@ -21,12 +21,18 @@ type 'a entry = {
    match four keys — (src, tag), (-1, tag), (src, -1), (-1, -1) — so a
    lookup probes at most four ring heads and picks the lowest sequence
    number, which is exactly the entry a full linear walk would return
-   first. *)
+   first. A key's ring leaves its table once it is empty, so the index
+   holds no state for the keys of closed connections. *)
 type 'a index = {
   exact : (int * int, 'a entry Desc_ring.t) Hashtbl.t;
   any_src : (int, 'a entry Desc_ring.t) Hashtbl.t;  (* posted src = -1 *)
   any_tag : (int, 'a entry Desc_ring.t) Hashtbl.t;  (* posted tag = -1 *)
   all_wild : 'a entry Desc_ring.t;  (* posted src = tag = -1 *)
+  mutable any_src_used : bool;
+  mutable any_tag_used : bool;
+      (** a wildcard class's table is probed (and the probe charged) from
+          its first post until {!unpost_all}, whether or not it still
+          holds rings *)
 }
 
 type 'a t = {
@@ -55,6 +61,8 @@ let create ?(engine = Linear) () =
             any_src = Hashtbl.create 8;
             any_tag = Hashtbl.create 8;
             all_wild = Desc_ring.create ~dead:entry_dead ();
+            any_src_used = false;
+            any_tag_used = false;
           });
   }
 
@@ -96,16 +104,42 @@ let ring_of tbl key =
 
 let index_post idx e =
   if e.src = -1 && e.tag = -1 then Desc_ring.push idx.all_wild e
-  else if e.src = -1 then Desc_ring.push (ring_of idx.any_src e.tag) e
-  else if e.tag = -1 then Desc_ring.push (ring_of idx.any_tag e.src) e
+  else if e.src = -1 then begin
+    idx.any_src_used <- true;
+    Desc_ring.push (ring_of idx.any_src e.tag) e
+  end
+  else if e.tag = -1 then begin
+    idx.any_tag_used <- true;
+    Desc_ring.push (ring_of idx.any_tag e.src) e
+  end
   else Desc_ring.push (ring_of idx.exact (e.src, e.tag)) e
+
+(* [e] was removed: drop its key's ring once the ring holds nothing, so
+   a dead key (a closed connection's tag) keeps no state. With [sweep],
+   [e] was tombstoned wherever it sat in the ring, so dead entries are
+   swept out first rather than kept (with what their values hold) until
+   they surface at the head. The all-wildcard ring is fixed and keeps
+   reaping lazily, since its occupancy gates a charged probe. *)
+let index_forget idx e ~sweep =
+  let forget tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some r ->
+      if sweep then Desc_ring.sweep r;
+      if Desc_ring.is_empty r then Hashtbl.remove tbl key
+    | None -> ()
+  in
+  if e.src = -1 && e.tag = -1 then ()
+  else if e.src = -1 then forget idx.any_src e.tag
+  else if e.tag = -1 then forget idx.any_tag e.src
+  else forget idx.exact (e.src, e.tag)
 
 let post t ~src ~tag value =
   t.seq <- t.seq + 1;
   let e = { src; tag; seq = t.seq; value; removed = false } in
   Vec.push t.entries e;
   t.live <- t.live + 1;
-  match t.index with None -> () | Some idx -> index_post idx e
+  (match t.index with None -> () | Some idx -> index_post idx e);
+  e
 
 let matches e ~src ~tag =
   (e.src = -1 || src = -1 || e.src = src) && (e.tag = -1 || tag = -1 || e.tag = tag)
@@ -136,13 +170,13 @@ let index_lookup idx ~src ~tag =
   (match Hashtbl.find_opt idx.exact (src, tag) with
   | Some r -> (match Desc_ring.peek r with Some e -> candidates := (e, r) :: !candidates | None -> ())
   | None -> ());
-  if Hashtbl.length idx.any_src > 0 then begin
+  if idx.any_src_used then begin
     incr lookups;
     match Hashtbl.find_opt idx.any_src tag with
     | Some r -> (match Desc_ring.peek r with Some e -> candidates := (e, r) :: !candidates | None -> ())
     | None -> ()
   end;
-  if Hashtbl.length idx.any_tag > 0 then begin
+  if idx.any_tag_used then begin
     incr lookups;
     match Hashtbl.find_opt idx.any_tag src with
     | Some r -> (match Desc_ring.peek r with Some e -> candidates := (e, r) :: !candidates | None -> ())
@@ -173,18 +207,30 @@ let lookup t ~src ~tag =
     let e, probe = walk t ~src ~tag in
     (e, None, probe)
 
+(* Mark [e] removed. [ring] is the ring [e] was just popped from, if
+   any; otherwise [e] may sit anywhere in its ring and is swept out. *)
+let tombstone t e ring =
+  e.removed <- true;
+  t.live <- t.live - 1;
+  match t.index, ring with
+  | Some idx, None -> index_forget idx e ~sweep:true
+  | Some idx, Some r when Desc_ring.is_empty r -> index_forget idx e ~sweep:false
+  | _ -> ()
+
 let remove t e ring =
   (* The winning ring's head is this entry: pop it eagerly (before
      tombstoning, or the reap would swallow the next live head too) so
-     ring occupancy tracks live descriptors. Entries removed through
-     global scans stay tombstoned until they surface at their ring's
-     head. *)
-  (match ring with
-  | Some r -> ignore (Desc_ring.pop r)
-  | None -> ());
-  e.removed <- true;
-  t.live <- t.live - 1;
+     ring occupancy tracks live descriptors. *)
+  (match ring with Some r -> ignore (Desc_ring.pop r) | None -> ());
+  tombstone t e ring;
   compact t
+
+let unpost t e =
+  if e.removed then false
+  else begin
+    remove t e None;
+    true
+  end
 
 let take t ~src ~tag =
   match lookup t ~src ~tag with
@@ -225,7 +271,9 @@ let unpost_all t =
     Hashtbl.reset idx.exact;
     Hashtbl.reset idx.any_src;
     Hashtbl.reset idx.any_tag;
-    Desc_ring.clear idx.all_wild);
+    Desc_ring.clear idx.all_wild;
+    idx.any_src_used <- false;
+    idx.any_tag_used <- false);
   List.rev vs
 
 let unpost_matching t pred =
@@ -233,8 +281,7 @@ let unpost_matching t pred =
   Vec.iter
     (fun e ->
       if (not e.removed) && pred e.value then begin
-        e.removed <- true;
-        t.live <- t.live - 1;
+        tombstone t e None;
         removed := e.value :: !removed
       end)
     t.entries;
@@ -243,3 +290,10 @@ let unpost_matching t pred =
 
 let iter t f =
   Vec.iter (fun e -> if not e.removed then f e.value) t.entries
+
+let index_keys t =
+  match t.index with
+  | None -> 0
+  | Some idx ->
+    Hashtbl.length idx.exact + Hashtbl.length idx.any_src
+    + Hashtbl.length idx.any_tag

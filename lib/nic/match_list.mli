@@ -25,6 +25,9 @@ val no_probe : probe
 
 type 'a t
 
+type 'a entry
+(** One posted descriptor: the handle {!unpost} takes. *)
+
 val create : ?engine:engine -> unit -> 'a t
 (** Default [Linear] — the measured firmware behaviour. *)
 
@@ -33,9 +36,13 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 val length : 'a t -> int
 
-val post : 'a t -> src:int -> tag:int -> 'a -> unit
+val post : 'a t -> src:int -> tag:int -> 'a -> 'a entry
 (** Append a descriptor matching sender [src] and 16-bit [tag].
     [src = -1] or [tag = -1] act as wildcards. *)
+
+val unpost : 'a t -> 'a entry -> bool
+(** Remove one posted descriptor by its handle, without walking the
+    list; [false] if it was already taken or unposted. *)
 
 val take : 'a t -> src:int -> tag:int -> 'a option * probe
 (** Find, remove and return the first descriptor matching an incoming
@@ -60,3 +67,7 @@ val unpost_all : 'a t -> 'a list
 
 val unpost_matching : 'a t -> ('a -> bool) -> 'a list
 val iter : 'a t -> ('a -> unit) -> unit
+
+val index_keys : 'a t -> int
+(** Match keys the hashed index holds a ring for (0 for the linear
+    engine). Unposting every descriptor of a key drops its ring. *)

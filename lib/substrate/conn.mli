@@ -108,12 +108,15 @@ val close : t -> unit
 (** Sends the "closed" control message (sequence-numbered so it cannot
     overtake in-flight data) and unposts every descriptor. The message is
     retransmitted with backoff if EMP exhausts its retries — a peer that
-    never hears it would keep its descriptors posted forever. Idempotent. *)
+    never hears it would keep its descriptors posted forever. Buffers
+    nothing can still touch go back to the node's registered pool, and
+    the send pool is released. Idempotent. *)
 
 val mark_reset : t -> unit
 (** The transport gave up on a message of this connection (peer
-    unreachable): unposts every descriptor, wakes all blocked fibers, and
-    makes subsequent {!read}/{!write} raise
+    unreachable): unposts every descriptor, gives back buffers as
+    {!close} does, wakes all blocked fibers, and makes subsequent
+    {!read}/{!write} raise
     [Uls_api.Sockets_api.Connection_reset]. Idempotent; no-op after
     {!close}. *)
 

@@ -143,6 +143,39 @@ let test_sanitizer_clean_pair () =
   check_int "no findings" 0 (List.length (An.Sanitizer.scan ~conns cluster));
   check_int "no violations" 0 (Invariant.count (Invariant.for_sim sim))
 
+let test_sanitizer_sendpool_leak () =
+  (* A send-pool slot still in flight when the scan runs is a finding,
+     also after its pool was released: a released pool stays in the
+     registry until its sends settle, and only then leaves it. *)
+  let cluster = Cluster.create ~n:2 () in
+  let sim = Cluster.sim cluster in
+  Invariant.enable (Invariant.for_sim sim);
+  let e1 = Cluster.emp cluster 1 in
+  let pool =
+    Uls_substrate.Sendpool.create (Cluster.node cluster 0) (Cluster.emp cluster 0)
+      ~slots:2 ~size:64
+  in
+  Sim.spawn sim ~name:"receiver" (fun () ->
+      let r =
+        Uls_emp.Endpoint.post_recv e1 ~src:0 ~tag:5 (Uls_host.Memory.alloc 64) ~off:0
+          ~len:64
+      in
+      ignore (Uls_emp.Endpoint.wait_recv e1 r));
+  Sim.spawn sim ~name:"sender" (fun () ->
+      ignore (Uls_substrate.Sendpool.send pool ~dst:1 ~tag:5 "in flight"));
+  (* Stop after the post, before the acknowledgment can return. *)
+  ignore (Cluster.run ~until:(Time.us 2) cluster);
+  check_int "one send in flight" 1 (Uls_substrate.Sendpool.in_flight pool);
+  let leaks () = find_check "sub.sendpool_leak" (An.Sanitizer.scan cluster) in
+  check_int "live pool flagged" 1 (List.length (leaks ()));
+  Uls_substrate.Sendpool.release pool;
+  check_int "released pool still flagged" 1 (List.length (leaks ()));
+  ignore (Cluster.run cluster);
+  check_int "settled" 0 (Uls_substrate.Sendpool.in_flight pool);
+  check_int "no finding once settled" 0 (List.length (leaks ()));
+  check_int "released pool left the registry" 0
+    (List.length (Uls_substrate.Sendpool.pools_for_sim sim))
+
 let test_credit_double_grant_detected () =
   let cluster = Cluster.create ~n:2 () in
   let sim = Cluster.sim cluster in
@@ -372,6 +405,8 @@ let suites =
           test_sanitizer_descriptor_leak;
         Alcotest.test_case "sanitizer clean on proper close" `Quick
           test_sanitizer_clean_pair;
+        Alcotest.test_case "sanitizer finds in-flight send-pool slot" `Quick
+          test_sanitizer_sendpool_leak;
         Alcotest.test_case "credit monitor catches double grant" `Quick
           test_credit_double_grant_detected;
         Alcotest.test_case "deadlock produces named wait-for report" `Quick

@@ -6,13 +6,14 @@ open Uls_nic
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let post ml ~src ~tag v = ignore (Match_list.post ml ~src ~tag v)
 
 (* --- Match_list (every semantic test runs under both engines) --- *)
 
 let test_match_basic engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:10 "a";
-  Match_list.post ml ~src:1 ~tag:11 "b";
+  post ml ~src:1 ~tag:10 "a";
+  post ml ~src:1 ~tag:11 "b";
   (match Match_list.take ml ~src:1 ~tag:11 with
   | Some "b", _ -> ()
   | _ -> Alcotest.fail "expected b");
@@ -25,8 +26,8 @@ let test_match_walk_accounting () =
   (* Linear engine: probe.walked counts descriptors examined, matched
      one included; no hash lookups. *)
   let ml = Match_list.create ~engine:Match_list.Linear () in
-  Match_list.post ml ~src:1 ~tag:10 "a";
-  Match_list.post ml ~src:1 ~tag:11 "b";
+  post ml ~src:1 ~tag:10 "a";
+  post ml ~src:1 ~tag:11 "b";
   (match Match_list.take ml ~src:1 ~tag:11 with
   | Some "b", { Match_list.walked; lookups } ->
     check_int "walked past a" 2 walked;
@@ -41,7 +42,7 @@ let test_hashed_lookup_accounting () =
      independent of how many other keys hold descriptors. *)
   let ml = Match_list.create ~engine:Match_list.Hashed () in
   for i = 0 to 999 do
-    Match_list.post ml ~src:i ~tag:7 i
+    post ml ~src:i ~tag:7 i
   done;
   (match Match_list.take ml ~src:999 ~tag:7 with
   | Some 999, { Match_list.walked; lookups } ->
@@ -53,10 +54,31 @@ let test_hashed_lookup_accounting () =
   | None, { Match_list.walked; _ } -> check_bool "miss is O(1)" true (walked <= 4)
   | Some _, _ -> Alcotest.fail "unexpected match"
 
+let test_wildcard_probe_outlives_rings () =
+  (* The any-source table is probed from its first post on, even once
+     unposting has dropped all its rings: the charged cost of a lookup
+     must not depend on when dead keys were forgotten. *)
+  let ml = Match_list.create ~engine:Match_list.Hashed () in
+  post ml ~src:1 ~tag:7 "exact";
+  let lookups () =
+    match Match_list.find ml ~src:1 ~tag:7 with
+    | Some _, p -> p.Match_list.lookups
+    | None, _ -> Alcotest.fail "exact descriptor lost"
+  in
+  check_int "exact key only" 1 (lookups ());
+  let h = Match_list.post ml ~src:(-1) ~tag:9 "wild" in
+  check_int "any-source table probed" 2 (lookups ());
+  check_bool "unposted" true (Match_list.unpost ml h);
+  check_int "its ring is gone" 1 (Match_list.index_keys ml);
+  check_int "still probed" 2 (lookups ());
+  ignore (Match_list.unpost_all ml);
+  post ml ~src:1 ~tag:7 "exact";
+  check_int "reset forgets the class" 1 (lookups ())
+
 let test_match_fifo_same_tag engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:5 "first";
-  Match_list.post ml ~src:1 ~tag:5 "second";
+  post ml ~src:1 ~tag:5 "first";
+  post ml ~src:1 ~tag:5 "second";
   (match Match_list.take ml ~src:1 ~tag:5 with
   | Some "first", _ -> ()
   | _ -> Alcotest.fail "FIFO violated");
@@ -66,8 +88,8 @@ let test_match_fifo_same_tag engine () =
 
 let test_match_src_filter engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:5 "from1";
-  Match_list.post ml ~src:2 ~tag:5 "from2";
+  post ml ~src:1 ~tag:5 "from1";
+  post ml ~src:2 ~tag:5 "from2";
   (match Match_list.take ml ~src:2 ~tag:5 with
   | Some "from2", _ -> ()
   | _ -> Alcotest.fail "src filter failed");
@@ -75,15 +97,15 @@ let test_match_src_filter engine () =
 
 let test_match_wildcards engine () =
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:(-1) ~tag:9 "anysrc";
+  post ml ~src:(-1) ~tag:9 "anysrc";
   (match Match_list.take ml ~src:42 ~tag:9 with
   | Some "anysrc", _ -> ()
   | _ -> Alcotest.fail "wildcard src should match");
-  Match_list.post ml ~src:3 ~tag:(-1) "anytag";
+  post ml ~src:3 ~tag:(-1) "anytag";
   (match Match_list.take ml ~src:3 ~tag:12345 with
   | Some "anytag", _ -> ()
   | _ -> Alcotest.fail "wildcard tag should match");
-  Match_list.post ml ~src:(-1) ~tag:(-1) "anything";
+  post ml ~src:(-1) ~tag:(-1) "anything";
   match Match_list.take ml ~src:7 ~tag:7 with
   | Some "anything", _ -> ()
   | _ -> Alcotest.fail "full wildcard should match"
@@ -92,8 +114,8 @@ let test_wildcard_beats_later_exact engine () =
   (* Post order decides between a wildcard and an exact match: the
      earlier post wins, whichever class it is in. *)
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:(-1) ~tag:4 "wild-first";
-  Match_list.post ml ~src:2 ~tag:4 "exact-later";
+  post ml ~src:(-1) ~tag:4 "wild-first";
+  post ml ~src:2 ~tag:4 "exact-later";
   (match Match_list.take ml ~src:2 ~tag:4 with
   | Some "wild-first", _ -> ()
   | _ -> Alcotest.fail "earlier wildcard should win");
@@ -104,7 +126,7 @@ let test_wildcard_beats_later_exact engine () =
 let test_match_miss_walks_all engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 9 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   check_bool "no match" true (fst (Match_list.take ml ~src:1 ~tag:99) = None);
   check_int "all still posted" 10 (Match_list.length ml)
@@ -112,7 +134,7 @@ let test_match_miss_walks_all engine () =
 let test_unpost engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 4 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   let removed = Match_list.unpost_matching ml (fun v -> v mod 2 = 0) in
   Alcotest.(check (list int)) "evens removed" [ 0; 2; 4 ] removed;
@@ -125,18 +147,60 @@ let test_unposted_never_matches engine () =
   (* An entry tombstoned through the global list must not surface via
      the hashed rings later. *)
   let ml = Match_list.create ~engine () in
-  Match_list.post ml ~src:1 ~tag:1 "dead";
-  Match_list.post ml ~src:1 ~tag:1 "live";
+  post ml ~src:1 ~tag:1 "dead";
+  post ml ~src:1 ~tag:1 "live";
   ignore (Match_list.unpost_matching ml (fun v -> v = "dead"));
   (match Match_list.take ml ~src:1 ~tag:1 with
   | Some "live", _ -> ()
   | _ -> Alcotest.fail "tombstone leaked");
   check_bool "empty now" true (fst (Match_list.take ml ~src:1 ~tag:1) = None)
 
+let test_unpost_forgets_keys () =
+  (* Unposting must not leave per-key rings behind for dead keys: a
+     closed connection's tags would keep its descriptors reachable. *)
+  let ml = Match_list.create ~engine:Match_list.Hashed () in
+  let n = 200 in
+  let handles =
+    List.init n (fun i -> Match_list.post ml ~src:1 ~tag:i i)
+    @ List.init n (fun i -> Match_list.post ml ~src:(-1) ~tag:(1_000 + i) i)
+    @ List.init n (fun i -> Match_list.post ml ~src:(2 + i) ~tag:(-1) i)
+  in
+  check_int "one ring per key" (3 * n) (Match_list.index_keys ml);
+  (* By handle, in an order that leaves dead entries behind live ones. *)
+  List.iteri
+    (fun i h -> if i mod 2 = 1 then check_bool "live" true (Match_list.unpost ml h))
+    handles;
+  List.iteri
+    (fun i h -> if i mod 2 = 0 then check_bool "live" true (Match_list.unpost ml h))
+    handles;
+  check_bool "second unpost is a no-op" false (Match_list.unpost ml (List.hd handles));
+  check_int "handles leave no rings" 0 (Match_list.index_keys ml);
+  check_int "nothing posted" 0 (Match_list.length ml);
+  (* Two descriptors per key, the older one unposted by predicate: the
+     key keeps its ring until the younger one goes too. *)
+  for i = 0 to n - 1 do
+    post ml ~src:1 ~tag:i (2 * i);
+    post ml ~src:1 ~tag:i ((2 * i) + 1)
+  done;
+  ignore (Match_list.unpost_matching ml (fun v -> v mod 2 = 0));
+  check_int "live keys keep their ring" n (Match_list.index_keys ml);
+  (match Match_list.take ml ~src:1 ~tag:7 with
+  | Some 15, _ -> ()
+  | _ -> Alcotest.fail "expected the younger descriptor");
+  ignore (Match_list.unpost_matching ml (fun _ -> true));
+  check_int "predicate unpost leaves no rings" 0 (Match_list.index_keys ml);
+  for i = 0 to n - 1 do
+    post ml ~src:(-1) ~tag:i i
+  done;
+  for i = 0 to n - 1 do
+    ignore (Match_list.remove_first ml (fun v -> v = i))
+  done;
+  check_int "remove_first leaves no rings" 0 (Match_list.index_keys ml)
+
 let test_removed_not_counted_in_walk () =
   let ml = Match_list.create () in
   for i = 0 to 9 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   ignore (Match_list.unpost_matching ml (fun v -> v < 9));
   match Match_list.take ml ~src:1 ~tag:9 with
@@ -147,7 +211,7 @@ let test_removed_not_counted_in_walk () =
 let test_compaction_preserves_order engine () =
   let ml = Match_list.create ~engine () in
   for i = 0 to 99 do
-    Match_list.post ml ~src:1 ~tag:i i
+    post ml ~src:1 ~tag:i i
   done;
   (* Remove most entries to trigger compaction, then check the rest. *)
   ignore (Match_list.unpost_matching ml (fun v -> v mod 10 <> 0));
@@ -167,7 +231,7 @@ let test_churn_10k engine () =
   let total = 10_000 in
   for i = 0 to total - 1 do
     let key = i mod 7 in
-    Match_list.post ml ~src:key ~tag:key (i / 7);
+    post ml ~src:key ~tag:key (i / 7);
     posted.(key) <- posted.(key) + 1;
     (* Every third post, drain two entries: constant churn keeps the
        vector full of tombstones and compaction busy. *)
@@ -207,7 +271,7 @@ let prop_match_list_vs_model =
         (fun (is_post, (src, tag)) ->
           if is_post then begin
             incr counter;
-            Match_list.post ml ~src ~tag !counter;
+            post ml ~src ~tag !counter;
             model := !model @ [ (src, tag, !counter) ];
             true
           end
@@ -254,8 +318,8 @@ let test_engine_parity_seeded () =
         | 0 | 1 | 2 ->
           incr counter;
           let src = pick_id () and tag = pick_id () in
-          Match_list.post lin ~src ~tag !counter;
-          Match_list.post hsh ~src ~tag !counter
+          post lin ~src ~tag !counter;
+          post hsh ~src ~tag !counter
         | 3 ->
           (* Query side: concrete most of the time, wildcard sometimes
              (the hashed engine's documented linear fallback). *)
@@ -285,6 +349,24 @@ let test_engine_parity_seeded () =
     [ 7; 42; 1337; 9001; 123456 ]
 
 (* --- Desc_ring --- *)
+
+let test_desc_ring_sweep () =
+  let r = Desc_ring.create ~dead:(fun v -> !v < 0) () in
+  let cells = Array.init 12 (fun i -> ref i) in
+  (* Wrap the ring first so the sweep crosses the array's end. *)
+  Array.iter (Desc_ring.push r) (Array.sub cells 0 6);
+  for _ = 1 to 5 do
+    ignore (Desc_ring.pop r)
+  done;
+  Array.iter (Desc_ring.push r) (Array.sub cells 6 6);
+  List.iter (fun i -> cells.(i) := -1) [ 5; 7; 8; 11 ];
+  Desc_ring.sweep r;
+  check_int "only live entries left" 3 (Desc_ring.length r);
+  let order = List.filter_map (fun _ -> Option.map ( ! ) (Desc_ring.pop r)) [ 1; 2; 3 ] in
+  Alcotest.(check (list int)) "order kept" [ 6; 9; 10 ] order;
+  Desc_ring.push r (ref (-1));
+  Desc_ring.sweep r;
+  check_bool "all dead sweeps to empty" true (Desc_ring.is_empty r)
 
 let test_desc_ring_fifo () =
   let r = Desc_ring.create ~dead:(fun v -> !v < 0) () in
@@ -415,7 +497,9 @@ let suites =
           [ Alcotest.test_case "linear walk accounting" `Quick
               test_match_walk_accounting;
             Alcotest.test_case "hashed lookup accounting" `Quick
-              test_hashed_lookup_accounting ];
+              test_hashed_lookup_accounting;
+            Alcotest.test_case "wildcard probe outlives rings" `Quick
+              test_wildcard_probe_outlives_rings ];
           engine_cases "FIFO same tag" test_match_fifo_same_tag;
           engine_cases "src filter" test_match_src_filter;
           engine_cases "wildcards" test_match_wildcards;
@@ -425,7 +509,9 @@ let suites =
           engine_cases "unpost" test_unpost;
           engine_cases "unposted never matches" test_unposted_never_matches;
           [ Alcotest.test_case "tombstones free" `Quick
-              test_removed_not_counted_in_walk ];
+              test_removed_not_counted_in_walk;
+            Alcotest.test_case "unpost forgets dead keys" `Quick
+              test_unpost_forgets_keys ];
           engine_cases "compaction order" test_compaction_preserves_order;
           engine_cases "10k churn keeps order" test_churn_10k;
           [ Alcotest.test_case "engine parity (pinned seeds)" `Quick
@@ -433,7 +519,10 @@ let suites =
           List.map QCheck_alcotest.to_alcotest [ prop_match_list_vs_model ];
         ] );
     ( "nic.desc_ring",
-      [ Alcotest.test_case "FIFO with tombstones" `Quick test_desc_ring_fifo ] );
+      [
+        Alcotest.test_case "FIFO with tombstones" `Quick test_desc_ring_fifo;
+        Alcotest.test_case "sweep drops interior dead" `Quick test_desc_ring_sweep;
+      ] );
     ( "nic.tigon",
       [
         Alcotest.test_case "resource FIFO" `Quick test_tigon_resources_serialize;
