@@ -11,15 +11,16 @@
 
 let run_bechamel () =
   let open Bechamel in
-  let heap_push_pop =
-    Test.make ~name:"engine.heap push+pop x100"
+  let wheel_push_pop =
+    Test.make ~name:"engine.wheel push+pop x100"
       (Staged.stage (fun () ->
-           let h = Uls_engine.Heap.create ~cmp:compare in
+           let open Uls_engine in
+           let w = Wheel.create () in
            for i = 0 to 99 do
-             Uls_engine.Heap.push h (i * 7919 mod 100)
+             Wheel.push w (Task.make ~time:(i * 7919 mod 100) ~pri:0 ~seq:i Task.nop)
            done;
-           while not (Uls_engine.Heap.is_empty h) do
-             ignore (Uls_engine.Heap.pop h)
+           while Wheel.pop w != Task.dummy do
+             ()
            done))
   in
   let tag_match =
@@ -51,7 +52,7 @@ let run_bechamel () =
   in
   let tests =
     Test.make_grouped ~name:"simulator"
-      [ heap_push_pop; tag_match; sim_events; emp_pingpong ]
+      [ wheel_push_pop; tag_match; sim_events; emp_pingpong ]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:(Some 500) () in

@@ -110,26 +110,6 @@ let finish ?(summary = Some (Printf.sprintf "%d failure(s)")) ?ok g =
   end;
   Option.iter print_endline ok
 
-let sched_conv =
-  let parse = function
-    | "heap" -> Ok `Heap
-    | "wheel" -> Ok `Wheel
-    | s -> Error (`Msg (Printf.sprintf "unknown scheduler %S" s))
-  in
-  let print fmt s =
-    Format.pp_print_string fmt (match s with `Heap -> "heap" | `Wheel -> "wheel")
-  in
-  Arg.conv (parse, print)
-
-let sched_flag default =
-  Arg.(value & opt sched_conv default
-       & info [ "sched" ] ~docv:"SCHED"
-           ~doc:"Simulator event queue: $(b,wheel) (hierarchical timing \
-                 wheel, O(1) amortized) or $(b,heap) (binary heap \
-                 baseline). Dispatch order is byte-identical either way.")
-
-let sched_name = Uls_bench.Engine_bench.sched_name
-
 (* Kernel TCP takes no NIC tag matching, so its records say "n/a". *)
 let match_name kind engine =
   match kind with
@@ -329,8 +309,7 @@ let serve_cmd =
                  lost request, mismatch or divergence.")
   in
   let build_config stack workload open_loop ~conns ~requests ~size ~think
-      ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
-      ~event_sched =
+      ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine =
     let kind = sock_kind ~cmd:"serve" ~ds:Uls_substrate.Options.server stack in
     let client_nodes =
       if clients > 0 then clients else max 2 (min 8 ((conns + 511) / 512))
@@ -365,7 +344,6 @@ let serve_cmd =
       backlog;
       sched;
       match_engine;
-      event_sched;
     }
   in
   let run_one ?on_metrics cfg =
@@ -389,7 +367,6 @@ let serve_cmd =
            | Load.Closed -> "closed"
            | Load.Open r -> Printf.sprintf "open@%.0f" r));
         ("match", Str (match_name cfg.Load.kind cfg.Load.match_engine));
-        ("sched", Str (sched_name cfg.Load.event_sched));
         ("conns", Int cfg.Load.conns);
         ("requests_per_conn", Int cfg.Load.requests_per_conn);
         ("size", Int cfg.Load.size);
@@ -414,17 +391,16 @@ let serve_cmd =
       ]
   in
   let run stack conns requests size workload open_loop think seed loss clients
-      backlog workers max_inflight match_engine event_sched smoke metrics json =
+      backlog workers max_inflight match_engine smoke metrics json =
     let on_metrics = if metrics then Some dump_metrics else None in
     if smoke then begin
-      (* Pinned-seed CI matrix; flags other than --metrics and --sched
-         are ignored. *)
+      (* Pinned-seed CI matrix; flags other than --metrics are ignored. *)
       let g = gates "ulsbench serve --smoke" in
       let smoke_config ?(match_engine = Uls_nic.Match_list.Hashed) stack
           workload =
         build_config stack workload None ~conns:128 ~requests:4 ~size:256
           ~think:0. ~seed:42 ~loss:0. ~clients:2 ~backlog:0 ~workers:4
-          ~max_inflight:0 ~match_engine ~event_sched
+          ~max_inflight:0 ~match_engine
       in
       let check r =
         if
@@ -450,7 +426,7 @@ let serve_cmd =
       let scale_config stack engine =
         build_config stack Load.Echo None ~conns:512 ~requests:2 ~size:256
           ~think:0. ~seed:42 ~loss:0. ~clients:4 ~backlog:0 ~workers:4
-          ~max_inflight:0 ~match_engine:engine ~event_sched
+          ~max_inflight:0 ~match_engine:engine
       in
       (* Match-engine ablation only on the substrate stack: TCP takes the
          kernel receive path and never touches the NIC tag matcher, so a
@@ -474,7 +450,6 @@ let serve_cmd =
       let cfg =
         build_config stack workload open_loop ~conns ~requests ~size ~think
           ~seed ~loss ~clients ~backlog ~workers ~max_inflight ~match_engine
-          ~event_sched
       in
       let r = run_one ?on_metrics cfg in
       if json then serve_json cfg r;
@@ -489,7 +464,7 @@ let serve_cmd =
           open- or closed-loop; prints throughput and latency percentiles")
     Term.(const run $ stack $ conns $ requests $ size $ workload $ open_loop
           $ think $ seed $ loss $ clients $ backlog $ workers $ max_inflight
-          $ match_engine_flag $ sched_flag `Wheel $ smoke $ metrics_flag
+          $ match_engine_flag $ smoke $ metrics_flag
           $ Arg.(value & flag & info [ "json" ]
                    ~doc:"Append a JSON record to BENCH_serve.json."))
 
@@ -586,13 +561,11 @@ let fabric_cmd =
   in
   let auto_clients cells conns = max 4 (min 64 (max cells ((conns + 2047) / 2048) * 4)) in
   let build ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think ~clients
-      ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain ~match_engine
-      ~event_sched =
+      ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain ~match_engine =
     {
       Fleet.default with
       kind = sock_kind ~cmd:"fabric" ~ds:Uls_substrate.Options.server stack;
       match_engine;
-      event_sched;
       cells;
       shards;
       conns;
@@ -618,7 +591,6 @@ let fabric_cmd =
         ("cells", Int cfg.Fleet.cells);
         ("shards", Int cfg.Fleet.shards);
         ("match", Str (match_name cfg.Fleet.kind cfg.Fleet.match_engine));
-        ("sched", Str (sched_name cfg.Fleet.event_sched));
         ("conns", Int cfg.Fleet.conns);
         ("requests_per_conn", Int cfg.Fleet.requests_per_conn);
         ("size", Int cfg.Fleet.size);
@@ -651,18 +623,17 @@ let fabric_cmd =
       ]
   in
   let run stack cells shards conns requests size rate think clients seed loss
-      max_inflight backlog vnodes kill drain match_engine event_sched smoke
-      metrics json =
+      max_inflight backlog vnodes kill drain match_engine smoke metrics json =
     let on_metrics = if metrics then Some dump_metrics else None in
     if smoke then begin
       (* Pinned-seed CI matrix: cells x stacks, plus one kill-failover
-         run; flags other than --metrics and --sched are ignored. *)
+         run; flags other than --metrics are ignored. *)
       let g = gates "ulsbench fabric --smoke" in
       let base stack cells =
         build ~stack ~cells ~shards:2 ~conns:256 ~requests:2 ~size:128
           ~rate:8_000. ~think:0. ~clients:4 ~seed:42 ~loss:0. ~max_inflight:0
           ~backlog:128 ~vnodes:64 ~kill:None ~drain:None
-          ~match_engine:Uls_nic.Match_list.Hashed ~event_sched
+          ~match_engine:Uls_nic.Match_list.Hashed
       in
       let check name ?(allow_failures = false) (r : Fleet.report) =
         let ok =
@@ -710,7 +681,7 @@ let fabric_cmd =
       let cfg =
         build ~stack ~cells ~shards ~conns ~requests ~size ~rate ~think
           ~clients ~seed ~loss ~max_inflight ~backlog ~vnodes ~kill ~drain
-          ~match_engine ~event_sched
+          ~match_engine
       in
       let r = Fleet.run ?on_metrics cfg in
       Fleet.print_report Format.std_formatter cfg r;
@@ -726,8 +697,7 @@ let fabric_cmd =
           fleet, with optional mid-load cell kill or drain")
     Term.(const run $ stack $ cells $ shards $ conns $ requests $ size $ rate
           $ think $ clients $ seed $ loss $ max_inflight $ backlog $ vnodes
-          $ kill $ drain $ match_engine_flag $ sched_flag `Wheel $ smoke
-          $ metrics_flag
+          $ kill $ drain $ match_engine_flag $ smoke $ metrics_flag
           $ Arg.(value & flag & info [ "json" ]
                    ~doc:"Append a JSON record to BENCH_fabric.json."))
 
@@ -894,19 +864,20 @@ let engine_cmd =
   let open Uls_bench in
   let json =
     Arg.(value & flag & info [ "json" ]
-           ~doc:"Append one JSON record per (scenario, scheduler) run to \
-                 BENCH_engine.json.")
+           ~doc:"Append one JSON record per (scenario, queue) to \
+                 BENCH_engine.json: the median sample pair's.")
   in
   let check =
     Arg.(value & flag & info [ "check" ]
-           ~doc:"CI gate: heap and wheel must dispatch identical event \
-                 counts per scenario, the wheel must beat the heap by at \
-                 least 2x events/sec on the 65536-conn fabric shape, no \
-                 run may allocate more than 14 minor words per dispatched \
-                 event (allocation sanitizer), and against the committed \
-                 baseline every event count must match exactly and no \
-                 per-scenario wheel-vs-heap speedup may regress by more \
-                 than 20%.")
+           ~doc:"CI gate: the wheel and the reference heap must dispatch \
+                 identical event counts in every sample, no run may \
+                 allocate more than 14 minor words per dispatched event \
+                 (allocation sanitizer), and against the committed \
+                 baseline every event count must match exactly. On the \
+                 median of the interleaved samples, the wheel must beat \
+                 the heap by at least 2x events/sec on the 65536-conn \
+                 fabric shape, and no per-scenario wheel-vs-heap speedup \
+                 may regress by more than 20%.")
   in
   let baseline =
     Arg.(value & opt string "BENCH_engine.json"
@@ -915,37 +886,31 @@ let engine_cmd =
   in
   let run json check baseline_file =
     let rows = Engine_bench.run_all () in
-    let find sched name =
-      List.find
-        (fun r ->
-          r.Engine_bench.scenario = name && r.Engine_bench.sched = sched)
-        rows
-    in
-    Format.printf "%-14s %8s %10s %10s %14s %9s %8s@." "scenario" "conns"
-      "sched" "events" "events/sec" "speedup" "mw/ev";
+    let summaries = Engine_bench.summarize rows in
+    Format.printf "host: nproc=%d ocaml=%s; %d interleaved heap/wheel \
+                   samples per shape, median pair shown@."
+      (Domain.recommended_domain_count ()) Sys.ocaml_version
+      Engine_bench.samples;
+    Format.printf "%-14s %6s %8s %11s %11s %8s %11s %8s %8s@." "scenario"
+      "conns" "events" "heap ev/s" "wheel ev/s" "speedup" "spread" "heap mw"
+      "wheel mw";
     List.iter
-      (fun sh ->
-        let name = sh.Engine_bench.sh_name in
-        let h = find `Heap name and w = find `Wheel name in
-        List.iter
-          (fun (r : Engine_bench.row) ->
-            Format.printf "%-14s %8d %10s %10d %14.0f %9s %8.2f@."
-              r.Engine_bench.scenario r.Engine_bench.conns
-              (sched_name r.Engine_bench.sched)
-              r.Engine_bench.events r.Engine_bench.events_per_sec
-              (if r.Engine_bench.sched = `Wheel then
-                 Printf.sprintf "%.2fx"
-                   (r.Engine_bench.events_per_sec
-                   /. h.Engine_bench.events_per_sec)
-               else "")
-              r.Engine_bench.minor_words_per_event)
-          [ h; w ])
-      Engine_bench.shapes;
+      (fun s ->
+        let open Engine_bench in
+        let h = s.heap and w = s.wheel in
+        Format.printf "%-14s %6d %8d %11.0f %11.0f %7.2fx %5.2f-%.2fx %8.2f %8.2f@."
+          h.scenario h.conns h.events h.events_per_sec w.events_per_sec
+          (w.events_per_sec /. h.events_per_sec) s.lo s.hi h.minor_words_per_event
+          w.minor_words_per_event)
+      summaries;
     if json then
       List.iter
-        (fun r ->
-          Record.emit ~file:"BENCH_engine.json" (Engine_bench.to_record r))
-        rows;
+        (fun s ->
+          let open Engine_bench in
+          List.iter
+            (fun r -> Record.emit ~file:"BENCH_engine.json" (to_record r))
+            [ s.heap; s.wheel ])
+        summaries;
     if check then begin
       let g = gates "ulsbench engine --check" in
       List.iter (fail g "%s")
@@ -959,7 +924,8 @@ let engine_cmd =
        ~doc:
          "Event-core throughput: events/sec through the simulator on \
           synthetic timer workloads (pingpong, serve-512, fabric-4096, \
-          fabric-65536), binary heap vs hierarchical timing wheel")
+          fabric-65536), hierarchical timing wheel vs the reference \
+          binary heap")
     Term.(const run $ json $ check $ baseline)
 
 (* --- rings: firehose + storm ------------------------------------------- *)
@@ -1017,8 +983,8 @@ let firehose_cmd =
          & info [ "baseline" ] ~docv:"FILE"
              ~doc:"Committed pinned-seed baseline the --check gate reads.")
   in
-  let run sinks count size batch busy_poll seed loss match_engine event_sched
-      metrics json check baseline_file =
+  let run sinks count size batch busy_poll seed loss match_engine metrics json
+      check baseline_file =
     let on_metrics = if metrics then Some dump_metrics else None in
     let run_one cfg =
       let r = Firehose.run ?on_metrics cfg in
@@ -1035,14 +1001,11 @@ let firehose_cmd =
         seed;
         loss;
         match_engine;
-        event_sched;
       }
     in
     if check then begin
       let g = gates "ulsbench firehose --check" in
-      let gate_cfg =
-        { Firehose.default with Firehose.match_engine; event_sched; batch = 32 }
-      in
+      let gate_cfg = { Firehose.default with Firehose.match_engine; batch = 32 } in
       let batch32 = run_one gate_cfg in
       let batch1 = run_one { gate_cfg with Firehose.batch = 1 } in
       let busy_poll_run = run_one { gate_cfg with Firehose.busy_poll = true } in
@@ -1068,8 +1031,8 @@ let firehose_cmd =
           sinks, one doorbell per --batch submissions; prints pps and \
           the NIC doorbell/fetch audit pair")
     Term.(const run $ sinks $ count $ size $ batch_flag d.Firehose.batch
-          $ busy_poll_flag $ seed $ loss $ match_engine_flag
-          $ sched_flag `Wheel $ metrics_flag $ json $ check $ baseline)
+          $ busy_poll_flag $ seed $ loss $ match_engine_flag $ metrics_flag
+          $ json $ check $ baseline)
 
 let storm_cmd =
   let open Uls_bench in
@@ -1113,7 +1076,6 @@ let storm_cmd =
       [
         ("bench", Str "storm");
         ("match", Str (Uls_nic.Match_list.engine_name cfg.Storm.match_engine));
-        ("sched", Str (sched_name cfg.Storm.event_sched));
         ("scanners", Int cfg.Storm.scanners);
         ("targets", Int cfg.Storm.targets);
         ("window", Int cfg.Storm.window);
@@ -1140,7 +1102,7 @@ let storm_cmd =
     r
   in
   let run scanners targets window probes batch backlog busy_poll seed
-      match_engine event_sched json smoke =
+      match_engine json smoke =
     let cfg =
       {
         Storm.scanners;
@@ -1152,12 +1114,11 @@ let storm_cmd =
         busy_poll;
         seed;
         match_engine;
-        event_sched;
       }
     in
     if smoke then begin
       let g = gates "ulsbench storm --smoke" in
-      let gate_cfg = { Storm.default with Storm.match_engine; event_sched } in
+      let gate_cfg = { Storm.default with Storm.match_engine } in
       let check tag (r : Storm.report) =
         if not (r.Storm.completed_run && r.Storm.intact) then
           fail g "%s incomplete or refused (%d/%d answered, %d refused)" tag
@@ -1185,7 +1146,7 @@ let storm_cmd =
           doorbell per --batch probes; prints connect-attempt rate")
     Term.(const run $ scanners $ targets $ window $ probes
           $ batch_flag d.Storm.batch $ backlog $ busy_poll_flag $ seed
-          $ match_engine_flag $ sched_flag `Wheel $ json $ smoke)
+          $ match_engine_flag $ json $ smoke)
 
 (* --- races ------------------------------------------------------------- *)
 
@@ -1261,7 +1222,7 @@ let races_cmd =
     if o.S.violations <> [] || o.S.deadlock <> None then exit 1
   in
   let run seeds smoke scenario replay explore replay_schedule max_runs
-      max_preempt verbose sched =
+      max_preempt verbose =
     match (replay, replay_schedule) with
     | Some _, Some _ ->
       prerr_endline "ulsbench races: --replay and --replay-schedule conflict";
@@ -1274,7 +1235,7 @@ let races_cmd =
           prerr_endline "ulsbench races: --replay requires --scenario";
           exit 124
       in
-      dump_outcome (A.replay ~sched (find_or_die name) ~seed)
+      dump_outcome (A.replay (find_or_die name) ~seed)
     | None, Some id ->
       let name =
         match scenario with
@@ -1283,7 +1244,7 @@ let races_cmd =
           prerr_endline "ulsbench races: --replay-schedule requires --scenario";
           exit 124
       in
-      let o, pairs = X.replay ~sched (find_or_die name) ~schedule:id in
+      let o, pairs = X.replay (find_or_die name) ~schedule:id in
       dump_outcome ~pairs o
     | None, None ->
       let scenarios =
@@ -1304,7 +1265,7 @@ let races_cmd =
                 sc.S.sc_name
                 (if sc.S.sc_buggy then "[buggy]" else "[clean]")
             | Some _ ->
-              let v = X.explore ~sched ?max_runs ?max_preemptions:max_preempt sc in
+              let v = X.explore ?max_runs ?max_preemptions:max_preempt sc in
               print_endline (X.render ~verbose v);
               let ok = if sc.S.sc_buggy then X.flagged v else X.clean v in
               if not ok then begin
@@ -1323,8 +1284,8 @@ let races_cmd =
           (fun sc ->
             let v =
               if smoke && sc.S.sc_buggy then
-                A.run_until_flagged ~max_seeds:seeds ~sched sc
-              else A.run_scenario ~seeds ~sched sc
+                A.run_until_flagged ~max_seeds:seeds sc
+              else A.run_scenario ~seeds sc
             in
             print_endline (A.render ~verbose v);
             let ok = if sc.S.sc_buggy then A.flagged v else A.clean v in
@@ -1345,8 +1306,7 @@ let races_cmd =
              seed sampling by default, systematic DPOR-style enumeration \
              with --explore")
     Term.(const run $ seeds $ smoke $ scenario $ replay $ explore_flag
-          $ replay_schedule $ max_runs $ max_preempt $ verbose
-          $ sched_flag `Heap)
+          $ replay_schedule $ max_runs $ max_preempt $ verbose)
 
 let () =
   let doc = "Sockets-over-EMP reproduction benchmarks (simulated testbed)" in

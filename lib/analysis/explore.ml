@@ -128,8 +128,7 @@ type decision = {
    Returns the outcome, the decisions actually encountered (oldest
    first) and the attached happens-before tracker. Uses the global sim
    creation hook, so explorations cannot nest. *)
-let run_once (run_fn : ?sched:[ `Heap | `Wheel ] -> Scenarios.tiebreak -> Scenarios.outcome)
-    ?sched prefix =
+let run_once (run_fn : Scenarios.tiebreak -> Scenarios.outcome) prefix =
   let hb = ref None in
   Sim.set_create_hook
     (Some
@@ -150,7 +149,7 @@ let run_once (run_fn : ?sched:[ `Heap | `Wheel ] -> Scenarios.tiebreak -> Scenar
   let outcome =
     Fun.protect
       ~finally:(fun () -> Sim.set_create_hook None)
-      (fun () -> run_fn ?sched (`Controlled choose))
+      (fun () -> run_fn (`Controlled choose))
   in
   (outcome, List.rev !decisions, !hb)
 
@@ -202,7 +201,7 @@ let equivalent_alternative log ~from_pos ~alt_seq =
     end
   end
 
-let explore ?sched ?max_runs ?max_preemptions (sc : Scenarios.t) =
+let explore ?max_runs ?max_preemptions (sc : Scenarios.t) =
   let bound =
     match sc.Scenarios.sc_bound with
     | Some b -> b
@@ -231,7 +230,7 @@ let explore ?sched ?max_runs ?max_preemptions (sc : Scenarios.t) =
   let pairs_acc = ref [] in
   while (not (Stack.is_empty frontier)) && !runs < budget do
     let prefix = Stack.pop frontier in
-    let outcome, decisions, hb = run_once run_fn ?sched prefix in
+    let outcome, decisions, hb = run_once run_fn prefix in
     incr runs;
     if !baseline = None then baseline := Some outcome;
     Hashtbl.replace states (Fingerprint.digest outcome.Scenarios.fingerprint) ();
@@ -311,7 +310,7 @@ let flagged v = not (clean v)
 (* Deterministic single-schedule reproduction (the --replay-schedule
    path). Returns the outcome plus the racing pairs the happens-before
    tracker saw along that schedule. *)
-let replay ?sched (sc : Scenarios.t) ~schedule =
+let replay (sc : Scenarios.t) ~schedule =
   match parse_schedule_id schedule with
   | None -> invalid_arg (Printf.sprintf "Explore.replay: bad schedule id %S" schedule)
   | Some prefix ->
@@ -320,7 +319,7 @@ let replay ?sched (sc : Scenarios.t) ~schedule =
       | Some { Scenarios.b_run = Some f; _ } -> f
       | _ -> sc.Scenarios.sc_run
     in
-    let outcome, _, hb = run_once run_fn ?sched prefix in
+    let outcome, _, hb = run_once run_fn prefix in
     let pairs = match hb with Some h -> Hb.pairs h | None -> [] in
     (match hb with Some h -> Hb.detach h | None -> ());
     (outcome, pairs)

@@ -54,7 +54,6 @@ type verdict = {
 }
 
 val explore :
-  ?sched:[ `Heap | `Wheel ] ->
   ?max_runs:int ->
   ?max_preemptions:int ->
   Scenarios.t ->
@@ -68,7 +67,6 @@ val clean : verdict -> bool
 val flagged : verdict -> bool
 
 val replay :
-  ?sched:[ `Heap | `Wheel ] ->
   Scenarios.t ->
   schedule:string ->
   Scenarios.outcome * Hb.pair list

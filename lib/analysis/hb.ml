@@ -239,7 +239,7 @@ let on_spawn t ~parent ~child ~name =
   t.fclocks.(child) <- join (Array.copy t.fclocks.(parent)) [||];
   tick t child
 
-let on_dispatch t ~seq ~time:_ =
+let on_dispatch t ~seq =
   t.dispatches <- t.dispatches + 1;
   t.log <- { s_seq = seq; s_uids = [] } :: t.log
 
@@ -263,7 +263,7 @@ let attach sim =
        {
          Sim.on_op = (fun kind uid label -> on_op t kind uid label);
          on_spawn = (fun ~parent ~child ~name -> on_spawn t ~parent ~child ~name);
-         on_dispatch = (fun ~seq ~time -> on_dispatch t ~seq ~time);
+         on_dispatch = (fun ~seq ~pri:_ ~time:_ -> on_dispatch t ~seq);
        });
   t
 

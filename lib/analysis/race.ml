@@ -62,32 +62,32 @@ let clean v = v.v_divergent = [] && v.v_violating = [] && v.v_deadlocked = []
 
 let flagged v = not (clean v)
 
-let baseline_run ?sched sc =
-  { r_seed = None; r_outcome = sc.Scenarios.sc_run ?sched `Fifo }
+let baseline_run sc =
+  { r_seed = None; r_outcome = sc.Scenarios.sc_run `Fifo }
 
-let run_scenario ?(seeds = 16) ?sched sc =
-  let baseline = baseline_run ?sched sc in
+let run_scenario ?(seeds = 16) sc =
+  let baseline = baseline_run sc in
   let perturbed =
     List.init seeds (fun s ->
         {
           r_seed = Some s;
-          r_outcome = sc.Scenarios.sc_run ?sched (`Seeded_shuffle s);
+          r_outcome = sc.Scenarios.sc_run (`Seeded_shuffle s);
         })
   in
   verdict_of sc baseline perturbed
 
-let run_until_flagged ?(max_seeds = 16) ?sched sc =
+let run_until_flagged ?(max_seeds = 16) sc =
   (* Grow the perturbed set one seed at a time and stop at the first
      flagged verdict: a buggy fixture only needs one catching seed, and
      in smoke mode CI shouldn't pay for the other fifteen. *)
-  let baseline = baseline_run ?sched sc in
+  let baseline = baseline_run sc in
   let rec go acc s =
     if s >= max_seeds then verdict_of sc baseline (List.rev acc)
     else begin
       let r =
         {
           r_seed = Some s;
-          r_outcome = sc.Scenarios.sc_run ?sched (`Seeded_shuffle s);
+          r_outcome = sc.Scenarios.sc_run (`Seeded_shuffle s);
         }
       in
       let acc = r :: acc in
@@ -97,7 +97,7 @@ let run_until_flagged ?(max_seeds = 16) ?sched sc =
   in
   go [] 0
 
-let replay ?sched sc ~seed = sc.Scenarios.sc_run ?sched (`Seeded_shuffle seed)
+let replay sc ~seed = sc.Scenarios.sc_run (`Seeded_shuffle seed)
 
 let seed_name s = if s < 0 then "baseline" else Printf.sprintf "seed %d" s
 

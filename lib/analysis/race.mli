@@ -28,13 +28,10 @@ type verdict = {
       (** seeds whose run left non-daemon fibers parked *)
 }
 
-val run_scenario : ?seeds:int -> ?sched:[ `Heap | `Wheel ] -> Scenarios.t -> verdict
-(** Default 16 perturbed runs (seeds [0 .. 15]). [sched] selects the
-    simulator event queue for every run (default heap); verdicts must
-    not depend on it. *)
+val run_scenario : ?seeds:int -> Scenarios.t -> verdict
+(** Default 16 perturbed runs (seeds [0 .. 15]). *)
 
-val run_until_flagged :
-  ?max_seeds:int -> ?sched:[ `Heap | `Wheel ] -> Scenarios.t -> verdict
+val run_until_flagged : ?max_seeds:int -> Scenarios.t -> verdict
 (** Like {!run_scenario} but stops adding seeds as soon as the verdict
     is {!flagged} — the smoke-mode driver for buggy fixtures, which only
     need one catching seed. *)
@@ -47,7 +44,7 @@ val flagged : verdict -> bool
 (** [not (clean v)] — what every buggy fixture must satisfy (the
     detector still catches it). *)
 
-val replay : ?sched:[ `Heap | `Wheel ] -> Scenarios.t -> seed:int -> Scenarios.outcome
+val replay : Scenarios.t -> seed:int -> Scenarios.outcome
 (** Re-run one scenario under one seed (deterministic reproduction). *)
 
 val render : ?verbose:bool -> verdict -> string

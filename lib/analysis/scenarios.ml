@@ -33,14 +33,14 @@ type outcome = {
 type bound = {
   b_runs : int;
   b_preemptions : int;
-  b_run : (?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome) option;
+  b_run : (tiebreak -> outcome) option;
 }
 
 type t = {
   sc_name : string;
   sc_descr : string;
   sc_buggy : bool;
-  sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
+  sc_run : tiebreak -> outcome;
   sc_bound : bound option;
 }
 
@@ -64,8 +64,8 @@ let finish cluster ~conns ~observables stop =
     stop;
   }
 
-let start ?(n = 2) ?match_engine ?sched tiebreak =
-  let cluster = Cluster.create ?match_engine ?sched ~tiebreak ~n () in
+let start ?(n = 2) ?match_engine tiebreak =
+  let cluster = Cluster.create ?match_engine ~tiebreak ~n () in
   Invariant.enable (Invariant.for_sim (Cluster.sim cluster));
   cluster
 
@@ -91,8 +91,8 @@ let hex s = Digest.to_hex (Digest.string s)
 (* --- eager-echo: streaming mode, two clients echoed by one server --- *)
 
 let eager_echo ?match_engine ?opts
-    ?(writes = [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]) ?sched tiebreak =
-  let cluster = start ~n:3 ?match_engine ?sched tiebreak in
+    ?(writes = [ 1_900; 4_096; 512; 9_000; 64; 2_048 ]) tiebreak =
+  let cluster = start ~n:3 ?match_engine tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let server = Cluster.substrate ?opts cluster 0 in
@@ -135,8 +135,8 @@ let eager_echo ?match_engine ?opts
    substrate's request/grant path from two clients at once (the surface
    of the shared-grant-queue bug this suite's fixture re-introduces) --- *)
 
-let dg_rendezvous ?sched tiebreak =
-  let cluster = start ~n:3 ?sched tiebreak in
+let dg_rendezvous tiebreak =
+  let cluster = start ~n:3 tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let opts = Opt.datagram in
@@ -177,8 +177,8 @@ let dg_rendezvous ?sched tiebreak =
 (* --- connect-churn: connection setup/teardown cycles reclaim every
    descriptor (the 2N+3 provisioning of §5.3 against the leak scans) --- *)
 
-let connect_churn ?opts ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let connect_churn ?opts tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let conns = ref [] and obs = ref [] in
   let server = Cluster.substrate ?opts cluster 0 in
@@ -221,8 +221,8 @@ let connect_churn ?opts ?sched tiebreak =
    grant arrival order and the pairing crosses — caught both by the
    [scenario.grant_routing] invariant and by fingerprint divergence. *)
 
-let grant_fixture ~routed ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let grant_fixture ~routed tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let inv = Invariant.for_sim sim in
   let e0 = Cluster.emp cluster 0 in
@@ -314,7 +314,7 @@ let grant_fixture ~routed ?sched tiebreak =
    sanitizer/invariant channels are empty here; divergence of the
    observables across tie-breaks is the signal. *)
 
-let fabric_churn ?(sched = `Heap) tiebreak =
+let fabric_churn tiebreak =
   let r =
     Uls_bench.Fleet.run
       {
@@ -327,7 +327,6 @@ let fabric_churn ?(sched = `Heap) tiebreak =
         client_nodes = 2;
         seed = 11;
         tiebreak = Some tiebreak;
-        event_sched = sched;
       }
   in
   let open Uls_bench.Fleet in
@@ -363,8 +362,8 @@ let fabric_churn ?(sched = `Heap) tiebreak =
    mid-fetch coalesces), so the fingerprint takes only the
    schedule-independent ring facts: submitted and completed. *)
 
-let rings_firehose ?(msgs = 24) ?(batch = 4) ?sched tiebreak =
-  let cluster = start ~n:2 ?sched tiebreak in
+let rings_firehose ?(msgs = 24) ?(batch = 4) tiebreak =
+  let cluster = start ~n:2 tiebreak in
   let sim = Cluster.sim cluster in
   let obs = ref [] in
   let e0 = Cluster.emp cluster 0 and e1 = Cluster.emp cluster 1 in
@@ -443,8 +442,8 @@ let rings_firehose ?(msgs = 24) ?(batch = 4) ?sched tiebreak =
    1/2 per seed; the explorer proves both schedules. Runs on a bare sim
    (no cluster) so the schedule tree is exactly the two fibers. *)
 
-let lost_signal ?sched tiebreak =
-  let sim = Sim.create ?sched () in
+let lost_signal tiebreak =
+  let sim = Sim.create () in
   Sim.set_tiebreak sim tiebreak;
   Invariant.enable (Invariant.for_sim sim);
   let obs = ref [] in

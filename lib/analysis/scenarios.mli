@@ -27,7 +27,7 @@ type bound = {
   b_preemptions : int;
       (** max deviations from FIFO per schedule; [max_int] lets the
           explorer drain the whole tree and claim exhaustiveness *)
-  b_run : (?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome) option;
+  b_run : (tiebreak -> outcome) option;
       (** reduced-size variant of the workload for exploration (each of
           hundreds of schedules re-runs the scenario); [None] explores
           [sc_run] itself *)
@@ -40,10 +40,7 @@ type t = {
   sc_buggy : bool;
       (** fixtures the detector must flag (CI fails if it stops catching
           them) *)
-  sc_run : ?sched:[ `Heap | `Wheel ] -> tiebreak -> outcome;
-      (** [sched] selects the simulator event-queue implementation
-          (default binary heap); dispatch order is identical either
-          way, so fingerprints must not depend on it *)
+  sc_run : tiebreak -> outcome;
   sc_bound : bound option;
       (** [None]: the scenario is not explorable (e.g. fabric-churn,
           whose fleet driver owns its own sim) and [races --explore]

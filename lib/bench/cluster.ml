@@ -13,8 +13,8 @@ type t = {
 }
 
 let create ?(model = Cost_model.paper_testbed) ?tiebreak
-    ?(match_engine = Uls_nic.Match_list.Linear) ?sched ~n () =
-  let sim = Sim.create ?sched () in
+    ?(match_engine = Uls_nic.Match_list.Linear) ?sched:_ ~n () =
+  let sim = Sim.create () in
   (* Must precede any spawn: NIC/node setup tasks scheduled below should
      already draw shuffled priorities under a perturbed schedule. *)
   (match tiebreak with Some tb -> Sim.set_tiebreak sim tb | None -> ());

@@ -7,7 +7,7 @@ val create :
   ?model:Uls_host.Cost_model.t ->
   ?tiebreak:Uls_engine.Sim.tiebreak_spec ->
   ?match_engine:Uls_nic.Match_list.engine ->
-  ?sched:[ `Heap | `Wheel ] ->
+  ?sched:[ `Wheel ] ->
   n:int ->
   unit ->
   t
@@ -16,9 +16,8 @@ val create :
     {!Uls_engine.Sim.set_tiebreak}) before any task is scheduled — the
     race detector's schedule-perturbation hook. Default FIFO.
     [match_engine] selects the NIC tag-match firmware on every node
-    (default [Linear], the paper's measured generation). [sched] selects
-    the event-queue implementation ({!Uls_engine.Sim.create}); dispatch
-    order is identical either way, only queue cost differs. *)
+    (default [Linear], the paper's measured generation). [sched] is
+    ignored: every sim runs on the timing wheel. *)
 
 val sim : t -> Uls_engine.Sim.t
 val model : t -> Uls_host.Cost_model.t

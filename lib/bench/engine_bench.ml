@@ -27,8 +27,6 @@ let shapes =
       sh_timeout = Time.ms 50; sh_far = true };
   ]
 
-let find_shape name = List.find_opt (fun s -> s.sh_name = name) shapes
-
 type row = {
   scenario : string;
   conns : int;
@@ -68,7 +66,9 @@ let install sim sh =
   done
 
 let run_shape ~sched sh =
-  let sim = Sim.create ~sched () in
+  let sim =
+    match sched with `Heap -> Sim.create_reference () | `Wheel -> Sim.create ()
+  in
   install sim sh;
   let t0 = Sys.time () in
   let g0 = Gc.minor_words () in
@@ -90,9 +90,51 @@ let run_shape ~sched sh =
       (if events > 0 then gained /. float_of_int events else 0.);
   }
 
+let samples = 5
+
 let run_all () =
   List.concat_map
-    (fun sh -> [ run_shape ~sched:`Heap sh; run_shape ~sched:`Wheel sh ])
+    (fun sh ->
+      List.concat
+        (List.init samples (fun _ ->
+             [ run_shape ~sched:`Heap sh; run_shape ~sched:`Wheel sh ])))
+    shapes
+
+let median_by key xs =
+  let sorted = List.stable_sort (fun a b -> Float.compare (key a) (key b)) xs in
+  List.nth sorted ((List.length sorted - 1) / 2)
+
+type summary = {
+  shape : shape;
+  pairs : (row * row) list;
+  heap : row;
+  wheel : row;
+  lo : float;
+  hi : float;
+}
+
+let speedup (h, w) =
+  if h.events_per_sec > 0. then w.events_per_sec /. h.events_per_sec else 0.
+
+(* The k-th heap row of a shape pairs with its k-th wheel row: the two
+   ran back to back. *)
+let summarize rows =
+  List.map
+    (fun sh ->
+      let of_sched s =
+        List.filter (fun r -> r.scenario = sh.sh_name && r.sched = s) rows
+      in
+      let pairs = List.combine (of_sched `Heap) (of_sched `Wheel) in
+      let heap, wheel = median_by speedup pairs in
+      let ratios = List.map speedup pairs in
+      {
+        shape = sh;
+        pairs;
+        heap;
+        wheel;
+        lo = List.fold_left Float.min infinity ratios;
+        hi = List.fold_left Float.max neg_infinity ratios;
+      })
     shapes
 
 (* --- records and gates -------------------------------------------------- *)
@@ -119,19 +161,21 @@ let alloc_ceiling = 14.0
 
 let check ~file baseline rows =
   let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let find sched name =
-    List.find (fun r -> r.scenario = name && r.sched = sched) rows
+  (* Samples of one shape fail alike; say so once. *)
+  let fail fmt =
+    Printf.ksprintf
+      (fun m -> if not (List.mem m !failures) then failures := m :: !failures)
+      fmt
   in
-  (* Dispatch parity: the wheel is a drop-in replacement, so both
-     schedulers must execute exactly the same events. *)
+  let summaries = summarize rows in
+  (* Dispatch parity: the wheel must execute exactly the reference
+     heap's events, in every sample. *)
   List.iter
-    (fun sh ->
-      let h = find `Heap sh.sh_name and w = find `Wheel sh.sh_name in
+    (fun (h, w) ->
       if h.events <> w.events then
-        fail "%s: heap dispatched %d events, wheel %d" sh.sh_name h.events
+        fail "%s: heap dispatched %d events, wheel %d" h.scenario h.events
           w.events)
-    shapes;
+    (List.concat_map (fun s -> s.pairs) summaries);
   List.iter
     (fun r ->
       if r.minor_words_per_event > alloc_ceiling then
@@ -140,16 +184,17 @@ let check ~file baseline rows =
            ceiling (engine hot path started allocating)"
           r.scenario (sched_name r.sched) r.minor_words_per_event alloc_ceiling)
     rows;
-  (* The wheel's claim: O(1) queue ops must show at fleet scale. *)
-  let h = find `Heap "fabric-65536" and w = find `Wheel "fabric-65536" in
-  if w.events_per_sec < 2.0 *. h.events_per_sec then
-    fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s" w.events_per_sec
-      h.events_per_sec;
+  (* The wheel's claim: O(1) queue ops must show at fleet scale. Wall
+     clock gates read the median pair, never one sample. *)
+  let s = List.find (fun s -> s.shape.sh_name = "fabric-65536") summaries in
+  if s.wheel.events_per_sec < 2.0 *. s.heap.events_per_sec then
+    fail "fabric-65536: wheel %.0f ev/s < 2x heap %.0f ev/s"
+      s.wheel.events_per_sec s.heap.events_per_sec;
   (* Baseline gates. Event counts are deterministic, so they must match
      the committed records exactly; raw events/sec is machine-dependent,
-     so the regression gate runs on the wheel-vs-heap speedup ratio
-     (machine-independent to first order): each scenario's measured
-     ratio must reach 80% of the baseline's. *)
+     so the regression gate runs on the median wheel-vs-heap speedup
+     ratio (machine-independent to first order): each scenario's must
+     reach 80% of the baseline's. *)
   (match baseline with
   | Error e -> fail "%s" e
   | Ok recs ->
@@ -163,9 +208,8 @@ let check ~file baseline rows =
           ]
     in
     List.iter
-      (fun sh ->
-        let name = sh.sh_name in
-        let h = find `Heap name and w = find `Wheel name in
+      (fun s ->
+        let name = s.shape.sh_name in
         List.iter
           (fun r ->
             match base r.sched name "events" with
@@ -178,14 +222,14 @@ let check ~file baseline rows =
             | _ ->
               fail "%s/%s: no baseline event count in %s" name
                 (sched_name r.sched) file)
-          [ h; w ];
+          (List.filter (fun r -> r.scenario = name) rows);
         match
           (base `Heap name "events_per_sec", base `Wheel name "events_per_sec")
         with
         | Some (Float bh), Some (Float bw) ->
-          if bh > 0. && h.events_per_sec > 0. then begin
+          if bh > 0. && s.heap.events_per_sec > 0. then begin
             let base_ratio = bw /. bh in
-            let ratio = w.events_per_sec /. h.events_per_sec in
+            let ratio = speedup (s.heap, s.wheel) in
             if ratio < 0.8 *. base_ratio then
               fail
                 "%s: wheel/heap speedup %.2fx regressed more than 20%% from \
@@ -193,5 +237,5 @@ let check ~file baseline rows =
                 name ratio base_ratio
           end
         | _ -> fail "%s: no baseline heap and wheel events/sec in %s" name file)
-      shapes);
+      summaries);
   List.rev !failures

@@ -1,7 +1,8 @@
 (** Event-core throughput benchmark: events/sec through {!Uls_engine.Sim}
     on synthetic timer workloads shaped like the real benchmarks
     (pingpong, serve-512, fabric at 4096 and 65536 connections), run on
-    both event-queue implementations.
+    the simulator's timing wheel and on the reference binary heap
+    ({!Uls_engine.Sim.create_reference}) it is measured against.
 
     Each shape is a pure-engine workload — no protocol stack — so the
     measurement isolates queue cost: every connection runs a fixed number
@@ -31,8 +32,6 @@ type shape = {
 val shapes : shape list
 (** pingpong, serve-512, fabric-4096, fabric-65536. *)
 
-val find_shape : string -> shape option
-
 type row = {
   scenario : string;
   conns : int;
@@ -49,14 +48,27 @@ type row = {
           ceiling). *)
 }
 
-val sched_name : sched -> string
-
-val run_shape : sched:sched -> shape -> row
-(** Build a fresh sim with the given scheduler, install the workload,
-    run to quiescence, and time it. *)
+val samples : int
+(** 5 *)
 
 val run_all : unit -> row list
-(** Every shape under both schedulers, heap first. *)
+(** Every shape as {!samples} interleaved heap/wheel pairs, so a slow
+    phase of a shared host lands on both halves of a pair. *)
+
+val median_by : ('a -> float) -> 'a list -> 'a
+(** The element with the median key; the lower middle of an even
+    count. Raises on an empty list. *)
+
+type summary = {
+  shape : shape;
+  pairs : (row * row) list;  (** (heap, wheel), the k-th of each *)
+  heap : row;  (** the median pair by wheel/heap speedup *)
+  wheel : row;
+  lo : float;  (** speedup spread over the pairs *)
+  hi : float;
+}
+
+val summarize : row list -> summary list
 
 val to_record : row -> Record.t
 (** The row as its [BENCH_engine.json] record. *)
@@ -65,8 +77,10 @@ val check :
   file:string -> (Record.t list, string) result -> row list -> string list
 (** The [engine --check] gates over a {!run_all} result and the records
     read from the baseline [file], as failure messages (none = pass):
-    heap/wheel event-count parity per shape, at most 14.0 minor words
-    per dispatched event on every row, a fabric-65536 wheel at least 2x the heap's events/sec, and per
-    shape and scheduler an event count equal to the baseline's and a
-    wheel/heap speedup at least 0.8x the baseline's. A baseline that
-    failed to read, or lacks a record the gates need, is a failure. *)
+    heap/wheel event-count parity in every pair, at most 14.0 minor
+    words per dispatched event on every row, and against the baseline an
+    event count equal to the baseline's on every row. The wall-clock
+    gates read each shape's median pair ({!summarize}): a fabric-65536
+    wheel at least 2x the heap's events/sec, and per shape a wheel/heap
+    speedup at least 0.8x the baseline's. A baseline that failed to
+    read, or lacks a record the gates need, is a failure. *)

@@ -16,7 +16,6 @@ type config = {
   seed : int;
   loss : float;  (** uniform frame-loss probability (chaos leg) *)
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 val default : config
@@ -50,7 +49,7 @@ val to_record : config -> report -> Record.t
 (** The run as its [BENCH_rings.json] record. *)
 
 (** The [firehose --check] runs, all on {!default} (with the checked
-    match engine and scheduler) at batch 32 unless named otherwise. *)
+    match engine) at batch 32 unless named otherwise. *)
 type gate_runs = {
   batch32 : report;
   batch1 : report;

@@ -31,7 +31,6 @@ type config = {
   tiebreak : Uls_engine.Sim.tiebreak_spec option;
   time_limit : Time.ns option;
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 let default =
@@ -62,7 +61,6 @@ let default =
     tiebreak = None;
     time_limit = None;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Heap;
   }
 
 type cell_report = {
@@ -130,13 +128,8 @@ let run ?on_metrics (cfg : config) =
   (* Node layout: cells 0..K-1, prober K, clients K+1..K+client_nodes. *)
   let n_nodes = cfg.cells + 1 + cfg.client_nodes in
   let c =
-    match cfg.tiebreak with
-    | Some tiebreak ->
-      Cluster.create ~tiebreak ~match_engine:cfg.match_engine
-        ~sched:cfg.event_sched ~n:n_nodes ()
-    | None ->
-      Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
-        ~n:n_nodes ()
+    Cluster.create ?tiebreak:cfg.tiebreak ~match_engine:cfg.match_engine
+      ~n:n_nodes ()
   in
   let sim = Cluster.sim c in
   let api =

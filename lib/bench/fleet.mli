@@ -66,9 +66,6 @@ type config = {
   match_engine : Uls_nic.Match_list.engine;
       (** NIC tag-match firmware on every node; [Linear] is the ablation
           reproducing the paper's O(descriptors) walk *)
-  event_sched : [ `Heap | `Wheel ];
-      (** simulator event-queue implementation; dispatch order is
-          identical either way (see {!Uls_engine.Sim.create}) *)
 }
 
 val default : config

@@ -25,7 +25,6 @@ type config = {
   backlog : int;
   sched : Sched.config option;
   match_engine : Uls_nic.Match_list.engine;
-  event_sched : [ `Heap | `Wheel ];
 }
 
 let default =
@@ -43,7 +42,6 @@ let default =
     backlog = 256;
     sched = None;
     match_engine = Uls_nic.Match_list.Hashed;
-    event_sched = `Heap;
   }
 
 type report = {
@@ -98,8 +96,7 @@ let note_error e =
 
 let run ?on_metrics cfg =
   let c =
-    Cluster.create ~match_engine:cfg.match_engine ~sched:cfg.event_sched
-      ~n:(1 + cfg.client_nodes) ()
+    Cluster.create ~match_engine:cfg.match_engine ~n:(1 + cfg.client_nodes) ()
   in
   let sim = Cluster.sim c in
   let api =

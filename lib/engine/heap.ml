@@ -51,5 +51,3 @@ let pop h =
     end;
     Some top
   end
-
-let clear h = Vec.clear h.v

@@ -1,4 +1,5 @@
-(** Array-based binary min-heap. *)
+(** Array-based binary min-heap: the reference the event queue
+    ({!Wheel}) is checked and measured against ({!Sim.create_reference}). *)
 
 type 'a t
 
@@ -8,4 +9,3 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
-val clear : 'a t -> unit

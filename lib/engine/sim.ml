@@ -1,21 +1,3 @@
-(* Task cells are mutable and pooled: dispatch recycles the cell onto an
-   intrusive free list (and drops the closure) instead of garbage for
-   every event. [dummy_task] is the free-list terminator and the filler
-   value for the wheel's internal arrays. *)
-type task = {
-  mutable time : Time.ns;
-  mutable pri : int;  (* tie-break priority among same-timestamp tasks *)
-  mutable seq : int;
-  mutable run : unit -> unit;
-  mutable free_next : task;
-}
-
-let nop () = ()
-
-let rec dummy_task =
-  { time = max_int; pri = max_int; seq = max_int; run = nop;
-    free_next = dummy_task }
-
 (* Same-timestamp dispatch order. FIFO gives every task the same
    priority, so the [seq] fallback reproduces strict scheduling order;
    the seeded shuffle draws a random priority per task, perturbing the
@@ -46,7 +28,7 @@ type hooks = {
       (* kind, sync-object uid, label; the acting fiber is
          [current_fiber_id] at call time *)
   on_spawn : parent:int -> child:int -> name:string -> unit;
-  on_dispatch : seq:int -> time:Time.ns -> unit;
+  on_dispatch : seq:int -> pri:int -> time:Time.ns -> unit;
 }
 
 type park = {
@@ -63,13 +45,12 @@ type parked = {
   daemon : bool;
 }
 
-(* Event queue: binary comparison heap (the original structure) or the
-   hierarchical timing wheel. Both dispatch in identical
-   (time, pri, seq) order — the wheel's near-future heap uses the same
-   comparator — so the choice is a pure throughput ablation. *)
+(* Event queue: the hierarchical timing wheel. The binary heap is the
+   reference it is checked and measured against ([create_reference]);
+   both dispatch in identical (time, pri, seq) order. *)
 type queue =
-  | Q_heap of task Heap.t
-  | Q_wheel of task Wheel.t
+  | Q_wheel of Wheel.t
+  | Q_heap of Task.t Heap.t
 
 type t = {
   uid : int;  (* process-unique: lets side tables key off a simulation *)
@@ -88,18 +69,11 @@ type t = {
   mutable hooks : hooks option;
   parked : (int, park) Hashtbl.t;
   mutable next_park : int;
-  mutable free : task;  (* head of the recycled task-cell list *)
+  mutable free : Task.t;  (* head of the recycled task-cell list *)
   mutable pooled : int;
 }
 
 exception Fiber_failure of string * exn
-
-let compare_task a b =
-  let c = compare a.time b.time in
-  if c <> 0 then c
-  else
-    let c = compare a.pri b.pri in
-    if c <> 0 then c else compare a.seq b.seq
 
 let next_uid = ref 0
 
@@ -109,17 +83,11 @@ let next_uid = ref 0
 let create_hook : (t -> unit) option ref = ref None
 let set_create_hook h = create_hook := h
 
-let create ?(sched = `Heap) () =
+let make q =
   incr next_uid;
   let t = {
     uid = !next_uid;
-    q =
-      (match sched with
-      | `Heap -> Q_heap (Heap.create ~cmp:compare_task)
-      | `Wheel ->
-        Q_wheel
-          (Wheel.create ~dummy:dummy_task ~time:(fun tk -> tk.time)
-             ~cmp:compare_task ()));
+    q;
     now = 0;
     seq = 0;
     live = 0;
@@ -134,22 +102,25 @@ let create ?(sched = `Heap) () =
     hooks = None;
     parked = Hashtbl.create 16;
     next_park = 0;
-    free = dummy_task;
+    free = Task.dummy;
     pooled = 0;
   }
   in
   (match !create_hook with None -> () | Some f -> f t);
   t
 
+let create () = make (Q_wheel (Wheel.create ()))
+let create_reference () = make (Q_heap (Heap.create ~cmp:Task.compare))
+
 let uid t = t.uid
 let now t = t.now
 let blocked_fibers t = t.blocked
 let live_fibers t = t.live
 let events_executed t = t.executed
+let tasks_scheduled t = t.seq
 let stop t = t.stopped <- true
 let current_fiber t = t.cur_fiber
 let current_fiber_id t = t.cur_fiber_id
-let sched t = match t.q with Q_heap _ -> `Heap | Q_wheel _ -> `Wheel
 
 type tiebreak_spec =
   [ `Fifo | `Seeded_shuffle of int | `Controlled of (int array -> int) ]
@@ -189,11 +160,11 @@ let pool_max = 4096
 
 let alloc_task t ~time ~pri ~seq ~run =
   let cell = t.free in
-  if cell == dummy_task then { time; pri; seq; run; free_next = dummy_task }
+  if cell == Task.dummy then Task.make ~time ~pri ~seq run
   else begin
     t.free <- cell.free_next;
     t.pooled <- t.pooled - 1;
-    cell.free_next <- dummy_task;
+    cell.free_next <- Task.dummy;
     cell.time <- time;
     cell.pri <- pri;
     cell.seq <- seq;
@@ -201,13 +172,28 @@ let alloc_task t ~time ~pri ~seq ~run =
     cell
   end
 
-let release_task t cell =
-  cell.run <- nop;  (* drop the closure and everything it captured *)
+let release_task t (cell : Task.t) =
+  cell.run <- Task.nop;  (* drop the closure and everything it captured *)
   if t.pooled < pool_max then begin
     cell.free_next <- t.free;
     t.free <- cell;
     t.pooled <- t.pooled + 1
   end
+
+let q_push t cell =
+  match t.q with Q_wheel w -> Wheel.push w cell | Q_heap h -> Heap.push h cell
+
+(* [Task.dummy] when the queue is empty; the heap reference's options
+   are its own cost, the wheel allocates nothing. *)
+let q_peek t =
+  match t.q with
+  | Q_wheel w -> Wheel.peek w
+  | Q_heap h -> Option.value (Heap.peek h) ~default:Task.dummy
+
+let q_pop t =
+  match t.q with
+  | Q_wheel w -> Wheel.pop w
+  | Q_heap h -> Option.value (Heap.pop h) ~default:Task.dummy
 
 let schedule t ~time run =
   if time < t.now then invalid_arg "Sim: scheduling in the past";
@@ -217,10 +203,7 @@ let schedule t ~time run =
     | Fifo | Controlled _ -> 0  (* Controlled: FIFO order inside a tie *)
     | Shuffle rng -> Rng.int rng 0x4000_0000
   in
-  let cell = alloc_task t ~time ~pri ~seq:t.seq ~run in
-  match t.q with
-  | Q_heap h -> Heap.push h cell
-  | Q_wheel w -> Wheel.push w cell
+  q_push t (alloc_task t ~time ~pri ~seq:t.seq ~run)
 
 let at t time run = schedule t ~time run
 
@@ -315,71 +298,63 @@ let spawn_at t ?(name = "fiber") ?(daemon = false) time f =
 
 let spawn t ?name ?daemon f = spawn_at t ?name ?daemon t.now f
 
-let q_peek t = match t.q with Q_heap h -> Heap.peek h | Q_wheel w -> Wheel.peek w
-let q_pop t = match t.q with Q_heap h -> Heap.pop h | Q_wheel w -> Wheel.pop w
-let q_push t cell =
-  match t.q with Q_heap h -> Heap.push h cell | Q_wheel w -> Wheel.push w cell
-
 (* Under [Controlled], every task sharing the minimum timestamp is popped
    and the chooser picks which runs next (by index into the seq array,
    which is in FIFO order since Controlled pri is always 0); the rest are
    re-inserted untouched. A singleton tie is not a decision point. Due
    tasks re-insert into the wheel's exact-order near-future heap, so
-   push-back is order-safe on both schedulers. *)
-let pop_controlled t first choose =
+   push-back is order-safe. *)
+let pop_controlled t (first : Task.t) choose =
   let rec gather acc =
-    match q_peek t with
-    | Some tk when tk.time = first.time ->
+    let tk = q_peek t in
+    if tk != Task.dummy && tk.time = first.time then begin
       ignore (q_pop t);
       gather (tk :: acc)
-    | _ -> List.rev acc
+    end
+    else List.rev acc
   in
   match gather [] with
   | [] -> first
   | rest ->
     let all = Array.of_list (first :: rest) in
-    let idx = choose (Array.map (fun (tk : task) -> tk.seq) all) in
+    let idx = choose (Array.map (fun (tk : Task.t) -> tk.seq) all) in
     let idx = if idx < 0 || idx >= Array.length all then 0 else idx in
     Array.iteri (fun i tk -> if i <> idx then q_push t tk) all;
     all.(idx)
 
+(* One peek per event, then the pop of exactly the task peeked: the
+   wheel walks its cursor at most once per dispatch and nothing is
+   allocated. *)
 let run ?until t =
   t.stopped <- false;
-  let result = ref `Quiescent in
-  let running = ref true in
-  while !running do
-    if t.stopped then begin
-      result := `Stopped;
-      running := false
-    end
+  let limit = match until with Some l -> l | None -> max_int in
+  let rec loop () =
+    if t.stopped then `Stopped
     else
-      match q_peek t with
-      | None ->
-        result := `Quiescent;
-        running := false
-      | Some task -> (
-        match until with
-        | Some limit when task.time > limit ->
-          t.now <- limit;
-          result := `Time_limit;
-          running := false
-        | _ ->
-          ignore (q_pop t);
-          let task =
-            match t.tiebreak with
-            | Fifo | Shuffle _ -> task
-            | Controlled choose -> pop_controlled t task choose
-          in
-          t.now <- task.time;
-          t.executed <- t.executed + 1;
-          (match t.hooks with
-          | None -> ()
-          | Some h -> h.on_dispatch ~seq:task.seq ~time:task.time);
-          (* Recycle the cell before running: the closure is extracted
-             first, so even a raising task doesn't leak its cell, and
-             tasks the closure schedules can safely reuse it. *)
-          let f = task.run in
-          release_task t task;
-          f ())
-  done;
-  !result
+      let task = q_peek t in
+      if task == Task.dummy then `Quiescent
+      else if task.time > limit then begin
+        t.now <- limit;
+        `Time_limit
+      end
+      else begin
+        let task =
+          match t.tiebreak with
+          | Fifo | Shuffle _ -> q_pop t
+          | Controlled choose -> pop_controlled t (q_pop t) choose
+        in
+        t.now <- task.time;
+        t.executed <- t.executed + 1;
+        (match t.hooks with
+        | None -> ()
+        | Some h -> h.on_dispatch ~seq:task.seq ~pri:task.pri ~time:task.time);
+        (* Recycle the cell before running: the closure is extracted
+           first, so even a raising task doesn't leak its cell, and
+           tasks the closure schedules can safely reuse it. *)
+        let f = task.run in
+        release_task t task;
+        f ();
+        loop ()
+      end
+  in
+  loop ()

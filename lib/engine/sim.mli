@@ -16,17 +16,14 @@ exception Fiber_failure of string * exn
 (** Raised out of {!run} when a fiber dies with an uncaught exception.
     Carries the fiber's name and the original exception. *)
 
-val create : ?sched:[ `Heap | `Wheel ] -> unit -> t
-(** [create ()] uses the binary comparison heap (the original event
-    queue). [~sched:`Wheel] selects the hierarchical timing wheel
-    ({!Wheel}): O(1) amortized insert/extract regardless of pending-event
-    count, with dispatch order {e byte-identical} to the heap — the
-    (time, pri, seq) tie-break contract holds on both, so FIFO runs,
-    seeded shuffles, and determinism fingerprints are scheduler-
-    independent. *)
+val create : unit -> t
+(** A simulator on the hierarchical timing wheel ({!Wheel}): O(1)
+    amortized insert/extract regardless of pending-event count. *)
 
-val sched : t -> [ `Heap | `Wheel ]
-(** Which event queue this sim was created with. *)
+val create_reference : unit -> t
+(** A simulator on the binary heap ({!Heap}): the reference the wheel
+    is checked and measured against, with {e byte-identical} dispatch
+    order. Only the engine benchmark and the parity tests use it. *)
 
 val uid : t -> int
 (** Process-unique identifier of this simulation instance, usable as a
@@ -112,6 +109,10 @@ val current_fiber : t -> string
 val live_fibers : t -> int
 val events_executed : t -> int
 
+val tasks_scheduled : t -> int
+(** Tasks scheduled so far, i.e. the last [seq] assigned: every task
+    with [seq <= tasks_scheduled t] has been scheduled. *)
+
 (** {1 Sync-point instrumentation}
 
     Hooks let the analysis layer observe every synchronisation operation
@@ -140,8 +141,10 @@ type hooks = {
           reports) *)
   on_spawn : parent:int -> child:int -> name:string -> unit;
       (** fiber creation: the program-order edge from parent to child *)
-  on_dispatch : seq:int -> time:Time.ns -> unit;
-      (** a task starts running; [seq] is its stable schedule number *)
+  on_dispatch : seq:int -> pri:int -> time:Time.ns -> unit;
+      (** a task starts running; [seq] is its stable schedule number,
+          [pri] its tie-break priority (0 except under a seeded
+          shuffle) *)
 }
 
 val set_hooks : t -> hooks option -> unit

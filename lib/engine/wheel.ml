@@ -1,6 +1,6 @@
-(* Hierarchical timing wheel (hashed calendar queue) with a near-future
-   heap, an exact-order contract, and an overflow heap for far-future
-   timers.
+(* Hierarchical timing wheel (hashed calendar queue) of {!Task} cells
+   with a near-future heap, an exact-order contract, and an overflow heap
+   for far-future timers.
 
    Layout: [levels] wheels of [W = 256] slots each. A level-[l] slot
    spans [grain << (slot_bits * l)] ns, so the whole level-[l] wheel
@@ -10,7 +10,7 @@
    to the [ovf] heap and migrates down when the cursor approaches.
 
    Exactness: everything with [time < base + grain] lives in [cur], a
-   binary heap ordered by the caller's full comparator, so extraction
+   binary heap ordered by the full (time, pri, seq) key, so extraction
    order is *identical* to a plain comparison heap — the wheel only
    replaces where far-out elements wait, not how due elements are
    ordered. Advancing works slot-batch at a time: the next occupied
@@ -25,49 +25,40 @@
    (which advances [base]) can never misorder a subsequent insert, even
    one earlier than the peeked element. *)
 
+let grain_bits = 8  (* 256 ns: the level-0 slot width *)
 let slot_bits = 8
 let wsize = 1 lsl slot_bits
 let wmask = wsize - 1
 let levels = 4
 
-(* Dummy-backed resizable bag: a slot's elements, appended on insert,
-   dumped and reset (with the dummy overwriting the tail, so nothing
-   popped is retained) when the cursor reaches the slot. *)
-type 'a bag = {
-  mutable ba : 'a array;
-  mutable bn : int;
-}
-
-(* Dummy-backed binary min-heap over the caller's comparator. *)
-type 'a heap = {
-  mutable ha : 'a array;
+(* Dummy-backed binary min-heap of tasks in (time, pri, seq) order. *)
+type heap = {
+  mutable ha : Task.t array;
   mutable hn : int;
 }
 
-type 'a t = {
-  time : 'a -> int;
-  cmp : 'a -> 'a -> int;
-  dummy : 'a;
-  grain_bits : int;
-  slots : 'a bag array array;  (* [levels][wsize] *)
+(* Slot storage, per level: [items.(l).(i)] holds slot [i]'s elements
+   (appended on insert) and [fill.(l).(i)] how many. A level's two
+   arrays are allocated the first time an element lands in it, so a
+   sim whose timers never reach the upper levels never pays for them;
+   a slot's own array likewise appears on first use, and a drained
+   slot keeps it, dummy-filled, for reuse. *)
+type t = {
+  items : Task.t array array array;
+  fill : int array array;
   counts : int array;  (* elements resident per level *)
   mutable base : int;  (* start of the level-0 cursor slot; grain-aligned *)
-  cur : 'a heap;
-  ovf : 'a heap;
+  cur : heap;
+  ovf : heap;
   mutable len : int;
 }
 
-let create ?(grain_bits = 8) ~dummy ~time ~cmp () =
-  if grain_bits < 0 || grain_bits + (slot_bits * levels) >= Sys.int_size - 1
-  then invalid_arg "Wheel.create: grain_bits out of range";
+exception Order_violation of string
+
+let create () =
   {
-    time;
-    cmp;
-    dummy;
-    grain_bits;
-    slots =
-      Array.init levels (fun _ ->
-          Array.init wsize (fun _ -> { ba = [||]; bn = 0 }));
+    items = Array.make levels [||];
+    fill = Array.make levels [||];
     counts = Array.make levels 0;
     base = 0;
     cur = { ha = [||]; hn = 0 };
@@ -75,86 +66,82 @@ let create ?(grain_bits = 8) ~dummy ~time ~cmp () =
     len = 0;
   }
 
-let length w = w.len
-let is_empty w = w.len = 0
-
-(* level-l slot width and the absolute slot index of time [t] *)
-let shift w l = w.grain_bits + (slot_bits * l)
-let grain w = 1 lsl w.grain_bits
+(* log2 of the level-l slot width *)
+let shift l = grain_bits + (slot_bits * l)
+let grain = 1 lsl grain_bits
 
 (* --- heap ops ----------------------------------------------------------- *)
 
-let heap_push w (h : 'a heap) x =
+let heap_push (h : heap) x =
   if h.hn = Array.length h.ha then begin
-    let cap = if h.hn = 0 then 16 else 2 * h.hn in
-    let a = Array.make cap w.dummy in
+    let a = Array.make (max 16 (2 * h.hn)) Task.dummy in
     Array.blit h.ha 0 a 0 h.hn;
     h.ha <- a
   end;
-  h.ha.(h.hn) <- x;
+  (* sift up: move parents down into the hole, then drop [x] in *)
+  let a = h.ha and i = ref h.hn in
   h.hn <- h.hn + 1;
-  (* sift up *)
-  let i = ref (h.hn - 1) in
-  let continue = ref true in
-  while !continue && !i > 0 do
-    let p = (!i - 1) / 2 in
-    if w.cmp h.ha.(!i) h.ha.(p) < 0 then begin
-      let tmp = h.ha.(!i) in
-      h.ha.(!i) <- h.ha.(p);
-      h.ha.(p) <- tmp;
-      i := p
-    end
-    else continue := false
-  done
-
-let heap_pop w (h : 'a heap) =
-  let top = h.ha.(0) in
-  h.hn <- h.hn - 1;
-  h.ha.(0) <- h.ha.(h.hn);
-  h.ha.(h.hn) <- w.dummy;
-  (* sift down *)
-  let i = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let s = ref !i in
-    if l < h.hn && w.cmp h.ha.(l) h.ha.(!s) < 0 then s := l;
-    if r < h.hn && w.cmp h.ha.(r) h.ha.(!s) < 0 then s := r;
-    if !s <> !i then begin
-      let tmp = h.ha.(!i) in
-      h.ha.(!i) <- h.ha.(!s);
-      h.ha.(!s) <- tmp;
-      i := !s
-    end
-    else continue := false
+  while !i > 0 && Task.before x a.((!i - 1) / 2) do
+    a.(!i) <- a.((!i - 1) / 2);
+    i := (!i - 1) / 2
   done;
+  a.(!i) <- x
+
+let heap_pop (h : heap) =
+  let a = h.ha and n = h.hn - 1 in
+  let top = a.(0) and x = a.(n) in
+  a.(n) <- Task.dummy;
+  h.hn <- n;
+  if n > 0 then begin
+    (* sift down: move the smaller child up into the hole until [x] fits *)
+    let i = ref 0 and c = ref 1 in
+    while !c < n do
+      if !c + 1 < n && Task.before a.(!c + 1) a.(!c) then incr c;
+      if Task.before a.(!c) x then begin
+        a.(!i) <- a.(!c);
+        i := !c;
+        c := (2 * !c) + 1
+      end
+      else c := n
+    done;
+    a.(!i) <- x
+  end;
   top
 
 (* --- placement ---------------------------------------------------------- *)
 
 (* Place [x] into the structure appropriate for its delta from [base].
    Shared by push and cascade; does not touch [len]. *)
-let place w x =
-  let t = w.time x in
-  if t < w.base + grain w then heap_push w w.cur x
+let place w (x : Task.t) =
+  let t = x.time in
+  if t < w.base + grain then heap_push w.cur x
   else begin
     let delta = t - w.base in
     let l = ref 0 in
-    while !l < levels && delta asr shift w (!l + 1) <> 0 do
+    while !l < levels && delta asr shift (!l + 1) <> 0 do
       incr l
     done;
-    if !l = levels then heap_push w w.ovf x
+    if !l = levels then heap_push w.ovf x
     else begin
       let l = !l in
-      let slot = w.slots.(l).((t asr shift w l) land wmask) in
-      if slot.bn = Array.length slot.ba then begin
-        let cap = if slot.bn = 0 then 4 else 2 * slot.bn in
-        let a = Array.make cap w.dummy in
-        Array.blit slot.ba 0 a 0 slot.bn;
-        slot.ba <- a
+      if Array.length w.fill.(l) = 0 then begin
+        w.items.(l) <- Array.make wsize [||];
+        w.fill.(l) <- Array.make wsize 0
       end;
-      slot.ba.(slot.bn) <- x;
-      slot.bn <- slot.bn + 1;
+      let s = (t asr shift l) land wmask in
+      let n = w.fill.(l).(s) in
+      let a = w.items.(l).(s) in
+      let a =
+        if n < Array.length a then a
+        else begin
+          let b = Array.make (max 4 (2 * n)) Task.dummy in
+          Array.blit a 0 b 0 n;
+          w.items.(l).(s) <- b;
+          b
+        end
+      in
+      a.(n) <- x;
+      w.fill.(l).(s) <- n + 1;
       w.counts.(l) <- w.counts.(l) + 1
     end
   end
@@ -167,181 +154,160 @@ let push w x =
    higher-level slots redistribute downward) and reset it, overwriting
    the tail with the dummy so nothing dispatched is retained. *)
 let cascade w l idx =
-  let slot = w.slots.(l).(idx) in
-  let n = slot.bn in
+  (* an empty level may not have its arrays yet *)
+  let n = if w.counts.(l) = 0 then 0 else w.fill.(l).(idx) in
   if n > 0 then begin
+    let a = w.items.(l).(idx) in
     w.counts.(l) <- w.counts.(l) - n;
-    slot.bn <- 0;
+    w.fill.(l).(idx) <- 0;
     for i = 0 to n - 1 do
-      let x = slot.ba.(i) in
-      slot.ba.(i) <- w.dummy;
+      let x = a.(i) in
+      a.(i) <- Task.dummy;
       place w x
     done
   end
 
-let top_range w = 1 lsl shift w levels
+let top_range = 1 lsl shift levels
 
 (* Pull every overflow element the wheel can now cover back down. Runs
    whenever the cursor enters a new top-level slot (and when the wheels
    drain entirely), so an overflow timer always migrates long before
    the wheel's range reaches it. *)
 let migrate_ovf w =
-  let limit = w.base + top_range w in
-  while w.ovf.hn > 0 && w.time w.ovf.ha.(0) < limit do
-    place w (heap_pop w w.ovf)
+  let limit = w.base + top_range in
+  while w.ovf.hn > 0 && w.ovf.ha.(0).time < limit do
+    place w (heap_pop w.ovf)
   done
 
-(* Advance [base] until [cur] is non-empty (or the wheel is empty).
-   Scans the lowest occupied level for its next slot; an exhausted
-   window crosses the parent boundary, cascading the parent slot the
-   cursor enters. Amortized O(1) per element: every scan either finds a
-   batch or retires a whole window. *)
+(* Advance [base] until [cur] is non-empty; called only when [cur] is
+   empty and the wheel is not. Scans the lowest occupied level for its
+   next slot; an exhausted window crosses the parent boundary, cascading
+   the parent slot the cursor enters. Amortized O(1) per element: every
+   scan either finds a batch or retires a whole window. *)
 let advance w =
-  if w.cur.hn = 0 && w.len > 0 then begin
-    while w.cur.hn = 0 do
-      let l = ref 0 in
-      while !l < levels && w.counts.(!l) = 0 do
-        incr l
+  while w.cur.hn = 0 do
+    let l = ref 0 in
+    while !l < levels && w.counts.(!l) = 0 do
+      incr l
+    done;
+    if !l = levels then begin
+      (* wheels empty: jump to the first overflow element *)
+      let t = w.ovf.ha.(0).Task.time in
+      w.base <- t land lnot (grain - 1);
+      migrate_ovf w
+    end
+    else begin
+      let l = !l in
+      let cursor = (w.base asr shift l) land wmask in
+      (* Mid-window, the cursor slot holds only wrapped next-window
+         elements, so the scan starts after it. But when [base] sits
+         exactly at the cursor slot's start (right after a boundary
+         cross or jump), wrapped elements there have just become due
+         and must be scanned — and only then is cascading the cursor
+         slot safe: every element re-places strictly below level [l],
+         never back into the slot being drained. *)
+      let aligned = w.base land ((1 lsl shift l) - 1) = 0 in
+      let start = if aligned then cursor else cursor + 1 in
+      let found = ref (-1) in
+      let i = ref start and fill = w.fill.(l) in
+      while !found < 0 && !i < wsize do
+        if fill.(!i) > 0 then found := !i;
+        incr i
       done;
-      if !l = levels then begin
-        (* wheels empty: jump to the first overflow element *)
-        let t = w.time w.ovf.ha.(0) in
-        w.base <- t land lnot (grain w - 1);
-        migrate_ovf w
+      if !found >= 0 then begin
+        let s = !found in
+        let slot_start =
+          ((w.base asr shift l) + (s - cursor)) lsl shift l
+        in
+        if slot_start > w.base then begin
+          w.base <- slot_start;
+          (* a top-level jump enters a new top slot: pull newly
+             coverable overflow elements down before cascading, or one
+             parked just above an old base's horizon is overtaken *)
+          if l = levels - 1 then migrate_ovf w
+        end;
+        cascade w l s
       end
       else begin
-        let l = !l in
-        let cursor = (w.base asr shift w l) land wmask in
-        (* Mid-window, the cursor slot holds only wrapped next-window
-           elements, so the scan starts after it. But when [base] sits
-           exactly at the cursor slot's start (right after a boundary
-           cross or jump), wrapped elements there have just become due
-           and must be scanned — and only then is cascading the cursor
-           slot safe: every element re-places strictly below level [l],
-           never back into the slot being drained. *)
-        let aligned = w.base land ((1 lsl shift w l) - 1) = 0 in
-        let start = if aligned then cursor else cursor + 1 in
-        let found = ref (-1) in
-        let i = ref start in
-        while !found < 0 && !i < wsize do
-          if w.slots.(l).(!i).bn > 0 then found := !i;
-          incr i
-        done;
-        if !found >= 0 then begin
-          let s = !found in
-          let slot_start =
-            ((w.base asr shift w l) + (s - cursor)) lsl shift w l
-          in
-          if slot_start > w.base then begin
-            w.base <- slot_start;
-            (* a top-level jump enters a new top slot: pull newly
-               coverable overflow elements down before cascading, or one
-               parked just above an old base's horizon is overtaken *)
-            if l = levels - 1 then migrate_ovf w
-          end;
-          cascade w l s
-        end
-        else begin
-          (* Window exhausted: cross into the next parent slot. The new
-             base is aligned at the level-(l+1) slot width, but it may
-             coincide with boundaries at several levels at once (a
-             level-0 window ending exactly at a level-2 slot edge), so
-             the cursor can enter a NEW slot at every level above l in
-             the same step. Enter them top-down — migrate overflow when
-             a fresh top-level slot comes into range, then cascade each
-             newly entered slot, higher levels first so their contents
-             re-place below before the lower slot is drained. Cascading
-             only the immediate parent would leave anything parked in a
-             coincidentally entered higher slot to be silently overtaken
-             until the wheel wrapped back around. *)
-          let pshift = shift w (l + 1) in
-          w.base <- ((w.base asr pshift) + 1) lsl pshift;
-          if l + 1 >= levels then migrate_ovf w
-          else
-            (* Down to 0, not l+1: a higher cascade can feed [cur]
-               directly, ending the advance loop before the scan would
-               ever revisit the lower cursor slots — so their wrapped,
-               now-due entries must be cascaded here as well. *)
-            for lv = levels - 1 downto 0 do
-              if w.base land ((1 lsl shift w lv) - 1) = 0 then begin
-                if lv = levels - 1 then migrate_ovf w;
-                cascade w lv ((w.base asr shift w lv) land wmask)
-              end
-            done
-        end
+        (* Window exhausted: cross into the next parent slot. The new
+           base is aligned at the level-(l+1) slot width, but it may
+           coincide with boundaries at several levels at once (a
+           level-0 window ending exactly at a level-2 slot edge), so
+           the cursor can enter a NEW slot at every level above l in
+           the same step. Enter them top-down — migrate overflow when
+           a fresh top-level slot comes into range, then cascade each
+           newly entered slot, higher levels first so their contents
+           re-place below before the lower slot is drained. Cascading
+           only the immediate parent would leave anything parked in a
+           coincidentally entered higher slot to be silently overtaken
+           until the wheel wrapped back around. That includes crossing
+           out of the top level's window: migrating overflow alone there
+           let a migrated entry end the advance before the top cursor
+           slot's wrapped, now-due entries were cascaded. *)
+        let pshift = shift (l + 1) in
+        w.base <- ((w.base asr pshift) + 1) lsl pshift;
+        (* Down to 0, not l+1: a higher cascade can feed [cur] directly,
+           ending the advance loop before the scan would ever revisit the
+           lower cursor slots — so their wrapped, now-due entries must be
+           cascaded here as well. *)
+        for lv = levels - 1 downto 0 do
+          if w.base land ((1 lsl shift lv) - 1) = 0 then begin
+            if lv = levels - 1 then migrate_ovf w;
+            cascade w lv ((w.base asr shift lv) land wmask)
+          end
+        done
       end
-    done
-  end
+    end
+  done
+
+(* The cursor walk runs only when the near-future heap is empty, so a
+   peek followed by the pop of what it returned walks at most once. *)
+let[@inline] ensure w = if w.cur.hn = 0 && w.len > 0 then advance w
 
 let peek w =
-  advance w;
-  if w.cur.hn = 0 then None else Some w.cur.ha.(0)
+  ensure w;
+  if w.cur.hn = 0 then Task.dummy else w.cur.ha.(0)
 
 let debug_check = Sys.getenv_opt "ULS_WHEEL_CHECK" <> None
 
-let debug_min w =
-  (* exhaustive min over every residence, for the debug invariant only *)
-  let best = ref None in
-  let consider x =
-    match !best with
-    | None -> best := Some x
-    | Some b -> if w.cmp x b < 0 then best := Some x
+(* The sanitizer's reference: an exhaustive minimum over every
+   residence, and where it lives. *)
+let true_min w =
+  let best = ref Task.dummy and at = ref (-1) in
+  let consider where x =
+    if Task.before x !best then begin
+      best := x;
+      at := where
+    end
   in
-  for i = 0 to w.cur.hn - 1 do consider w.cur.ha.(i) done;
-  for i = 0 to w.ovf.hn - 1 do consider w.ovf.ha.(i) done;
+  for i = 0 to w.cur.hn - 1 do consider (-1) w.cur.ha.(i) done;
+  for i = 0 to w.ovf.hn - 1 do consider (-2) w.ovf.ha.(i) done;
   Array.iteri
-    (fun _l lvl ->
-      Array.iter (fun slot -> for i = 0 to slot.bn - 1 do consider slot.ba.(i) done) lvl)
-    w.slots;
-  !best
-
-let locate w x =
-  let where = ref "?" in
-  for i = 0 to w.cur.hn - 1 do if w.cur.ha.(i) == x then where := "cur" done;
-  for i = 0 to w.ovf.hn - 1 do if w.ovf.ha.(i) == x then where := "ovf" done;
-  Array.iteri
-    (fun l lvl ->
+    (fun l slots ->
       Array.iteri
-        (fun idx slot ->
-          for i = 0 to slot.bn - 1 do
-            if slot.ba.(i) == x then where := Printf.sprintf "L%d[%d]" l idx
+        (fun i a ->
+          for k = 0 to w.fill.(l).(i) - 1 do
+            consider ((l lsl slot_bits) lor i) a.(k)
           done)
-        lvl)
-    w.slots;
-  !where
+        slots)
+    w.items;
+  ( !best,
+    match !at with
+    | -1 -> "cur"
+    | -2 -> "ovf"
+    | s -> Printf.sprintf "L%d[%d]" (s lsr slot_bits) (s land wmask) )
 
 let pop w =
-  advance w;
-  if w.cur.hn = 0 then None
+  ensure w;
+  if w.cur.hn = 0 then Task.dummy
   else begin
     (if debug_check then
-       match debug_min w with
-       | Some m when w.cmp m w.cur.ha.(0) < 0 ->
-         Printf.eprintf
-           "WHEEL BUG: true min t=%d at %s but cur top t=%d; base=%d \
-            counts=[%s] cur=%d ovf=%d\n%!"
-           (w.time m) (locate w m)
-           (w.time w.cur.ha.(0))
-           w.base
-           (String.concat ";" (Array.to_list (Array.map string_of_int w.counts)))
-           w.cur.hn w.ovf.hn
-       | _ -> ());
+       let m, at = true_min w and top = w.cur.ha.(0) in
+       if m != top then
+         raise
+           (Order_violation
+              (Printf.sprintf "true min t=%d at %s but cur top t=%d; base=%d"
+                 m.time at top.time w.base)));
     w.len <- w.len - 1;
-    Some (heap_pop w w.cur)
+    heap_pop w.cur
   end
-
-let clear w =
-  Array.iter
-    (fun lvl ->
-      Array.iter
-        (fun slot ->
-          slot.ba <- [||];
-          slot.bn <- 0)
-        lvl)
-    w.slots;
-  Array.fill w.counts 0 levels 0;
-  w.cur.ha <- [||];
-  w.cur.hn <- 0;
-  w.ovf.ha <- [||];
-  w.ovf.hn <- 0;
-  w.len <- 0

@@ -212,6 +212,40 @@ let test_engine_ratio () =
        baseline 2.00x" ]
     (engine_check (wheel 1599.9))
 
+(* The wall-clock gates read the median of interleaved pairs, never one
+   sample: the lower middle for an even count. *)
+let test_engine_median () =
+  check_int "odd count" 2 (Eb.median_by float_of_int [ 3; 1; 2 ]);
+  check_int "even count: lower middle" 2 (Eb.median_by float_of_int [ 4; 1; 3; 2 ]);
+  (* serve-512 over five pairs, heap at 1000 ev/s; the floor is 0.8 x
+     the baseline's 2.0 = 1.6. *)
+  let samples wheel_eps =
+    List.filter (fun r -> r.Eb.scenario <> "serve-512") engine_rows
+    @ List.concat_map
+        (fun eps ->
+          List.map
+            (fun r ->
+              { r with
+                Eb.events_per_sec = (if r.Eb.sched = `Wheel then eps else 1000.) })
+            (List.filter (fun r -> r.Eb.scenario = "serve-512") engine_rows))
+        wheel_eps
+  in
+  let s =
+    List.find
+      (fun s -> s.Eb.shape.Eb.sh_name = "serve-512")
+      (Eb.summarize (samples [ 1000.; 3000.; 1600.; 1700.; 1500. ]))
+  in
+  check_int "five pairs" 5 (List.length s.Eb.pairs);
+  Alcotest.(check (float 0.)) "median pair" 1600. s.Eb.wheel.Eb.events_per_sec;
+  Alcotest.(check (pair (float 0.) (float 0.))) "spread" (1.0, 3.0) (s.Eb.lo, s.Eb.hi);
+  check_fails "median at the floor" []
+    (engine_check (samples [ 1000.; 3000.; 1600.; 1700.; 1500. ]));
+  (* mean 1.75x and best 3.0x both clear the floor; the median does not *)
+  check_fails "median under the floor"
+    [ "serve-512: wheel/heap speedup 1.55x regressed more than 20% from \
+       baseline 2.00x" ]
+    (engine_check (samples [ 1000.; 3000.; 1550.; 1700.; 1500. ]))
+
 let test_engine_fabric_2x () =
   let heap eps =
     update "fabric-65536" `Heap (fun r -> { r with events_per_sec = eps })
@@ -351,6 +385,8 @@ let suites =
           test_engine_ratio;
         Alcotest.test_case "engine fabric-65536 at 2x" `Quick
           test_engine_fabric_2x;
+        Alcotest.test_case "engine median of interleaved samples" `Quick
+          test_engine_median;
         Alcotest.test_case "engine allocation ceiling" `Quick test_engine_alloc;
         Alcotest.test_case "engine missing baseline" `Quick
           test_engine_missing_baseline;

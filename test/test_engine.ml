@@ -55,34 +55,35 @@ let prop_heap_sorts =
 
 (* --- Wheel --- *)
 
-(* Elements are (time, pri, seq) triples compared structurally — the
-   exact shape of the sim's tie-break contract. *)
-let wheel_create () =
-  Wheel.create ~dummy:(max_int, 0, 0) ~time:(fun (t, _, _) -> t) ~cmp:compare ()
+(* Elements are task cells; [key] reads back their (time, pri, seq)
+   triple — the exact shape of the sim's tie-break contract. *)
+let ev time pri seq = Task.make ~time ~pri ~seq Task.nop
+let key (x : Task.t) = (x.time, x.pri, x.seq)
+let wheel_create () = Wheel.create ()
 
 let wheel_drain w =
   let rec go acc =
-    match Wheel.pop w with None -> List.rev acc | Some x -> go (x :: acc)
+    let x = Wheel.pop w in
+    if x == Task.dummy then List.rev acc else go (key x :: acc)
   in
   go []
 
 let test_wheel_ordering () =
   let w = wheel_create () in
-  List.iter (fun t -> Wheel.push w (t, 0, t)) [ 5; 1; 4; 3; 9; 2 ];
-  check_int "length" 6 (Wheel.length w);
+  List.iter (fun t -> Wheel.push w (ev t 0 t)) [ 5; 1; 4; 3; 9; 2 ];
   Alcotest.(check (list int))
     "sorted drain" [ 1; 2; 3; 4; 5; 9 ]
     (List.map (fun (t, _, _) -> t) (wheel_drain w));
-  check_bool "empty after drain" true (Wheel.is_empty w)
+  check_bool "empty after drain" true (Wheel.peek w == Task.dummy)
 
 let test_wheel_overflow () =
-  (* default grain_bits=8: four levels cover 2^40 ns; anything beyond
+  (* 256 ns grain: four levels cover 2^40 ns; anything beyond
      sits in the overflow heap and must migrate back in order *)
   let times =
     [ 0; 300; (1 lsl 41) + 5; 1 lsl 50; 700; (1 lsl 40) - 1; 1 lsl 40 ]
   in
   let w = wheel_create () in
-  List.iteri (fun i t -> Wheel.push w (t, 0, i)) times;
+  List.iteri (fun i t -> Wheel.push w (ev t 0 i)) times;
   Alcotest.(check (list int))
     "overflow timers drain in time order"
     (List.sort compare times)
@@ -90,14 +91,14 @@ let test_wheel_overflow () =
 
 let test_wheel_late_insert_after_peek () =
   let w = wheel_create () in
-  Wheel.push w (1_000_000, 0, 1);
-  (match Wheel.peek w with
-  | Some (1_000_000, _, _) -> ()
+  Wheel.push w (ev 1_000_000 0 1);
+  (match key (Wheel.peek w) with
+  | 1_000_000, _, _ -> ()
   | _ -> Alcotest.fail "peek");
   (* the peek advanced the internal cursor to the far slot; an insert
      below it (but at/after the last extraction, per the Sim contract)
      must still dispatch first *)
-  Wheel.push w (10, 0, 2);
+  Wheel.push w (ev 10 0 2);
   Alcotest.(check (list int))
     "earlier late insert dispatches first" [ 10; 1_000_000 ]
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
@@ -109,28 +110,54 @@ let test_wheel_late_insert_after_peek () =
    parked until the wheel wrapped (~seconds late), and a higher cascade
    feeding [cur] directly could end the advance before the wrapped,
    now-due level-0 cursor-slot entries were scanned. Observed as
-   out-of-order dispatch in the serve smoke under [--sched wheel]. *)
+   out-of-order dispatch in the serve smoke on the wheel. *)
 let test_wheel_coincident_boundary () =
   let w = wheel_create () in
   let m = 1 lsl 24 in
   (* parked early in level-2 slot 1 *)
-  Wheel.push w (m + 100, 0, 1);
+  Wheel.push w (ev (m + 100) 0 1);
   (* walk the cursor to the last level-0 window before the 2^24 edge *)
-  Wheel.push w (m - 512, 0, 2);
-  (match Wheel.pop w with
-  | Some (t, _, _) when t = m - 512 -> ()
+  Wheel.push w (ev (m - 512) 0 2);
+  (match key (Wheel.pop w) with
+  | t, _, _ when t = m - 512 -> ()
   | _ -> Alcotest.fail "setup pop 1");
-  Wheel.push w (m - 256, 0, 3);
-  (match Wheel.pop w with
-  | Some (t, _, _) when t = m - 256 -> ()
+  Wheel.push w (ev (m - 256) 0 3);
+  (match key (Wheel.pop w) with
+  | t, _, _ when t = m - 256 -> ()
   | _ -> Alcotest.fail "setup pop 2");
   (* a wrapped level-0 entry just past the edge, and a level-1 entry
      further out that would pull the cursor over the parked element *)
-  Wheel.push w (m + 16, 0, 4);
-  Wheel.push w (m + (5 * 65536), 0, 5);
+  Wheel.push w (ev (m + 16) 0 4);
+  Wheel.push w (ev (m + (5 * 65536)) 0 5);
   Alcotest.(check (list int))
     "crossing the 2^24 edge dispatches every level in order"
     [ m + 16; m + 100; m + (5 * 65536) ]
+    (List.map (fun (t, _, _) -> t) (wheel_drain w))
+
+(* Regression: crossing out of the top level's window. An overflow
+   entry migrated into level 0 at the crossing used to end the advance
+   before the top cursor slot was cascaded, leaving a wrapped entry
+   parked there for a whole revolution (~18 min of virtual time) while
+   later entries dispatched ahead of it. Found by the dispatch-order
+   model below under a Controlled tie-break. *)
+let test_wheel_top_level_crossing () =
+  let w = wheel_create () in
+  let r = 1 lsl 40 in
+  (* beyond the top level's range from base 0: the overflow heap *)
+  Wheel.push w (ev (r + 440) 0 1);
+  (* move the cursor off the top-level boundary *)
+  Wheel.push w (ev 100_000 0 2);
+  (match key (Wheel.pop w) with
+  | 100_000, _, _ -> ()
+  | _ -> Alcotest.fail "setup pop 1");
+  (* in range now, but wrapped into top-level slot 0 *)
+  Wheel.push w (ev (r + 50_000) 0 3);
+  (match key (Wheel.pop w) with
+  | t, _, _ when t = r + 440 -> ()
+  | _ -> Alcotest.fail "setup pop 2");
+  Wheel.push w (ev (r + 100_000) 0 4);
+  Alcotest.(check (list int))
+    "the wrapped top-slot entry dispatches first" [ r + 50_000; r + 100_000 ]
     (List.map (fun (t, _, _) -> t) (wheel_drain w))
 
 (* Pinned-seed heap-vs-wheel parity: random schedule/cancel/advance ops
@@ -140,7 +167,7 @@ let test_wheel_coincident_boundary () =
    are filtered from the dispatch log on extraction. *)
 let wheel_heap_parity ~shuffled seed =
   let rng = Rng.create ~seed in
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create ~cmp:Task.compare in
   let w = wheel_create () in
   let seqr = ref 0 in
   let nowr = ref 0 in
@@ -150,8 +177,9 @@ let wheel_heap_parity ~shuffled seed =
   let dispatched_w = ref [] in
   let pop_both () =
     match (Heap.pop h, Wheel.pop w) with
-    | None, None -> ()
-    | Some a, Some b ->
+    | None, b when b == Task.dummy -> ()
+    | Some a, b when b != Task.dummy ->
+      let a = key a and b = key b in
       if a <> b then
         Alcotest.failf "seed %d: heap %s vs wheel %s" seed
           (let t, p, s = a in Printf.sprintf "(%d,%d,%d)" t p s)
@@ -180,7 +208,7 @@ let wheel_heap_parity ~shuffled seed =
       in
       incr seqr;
       let pri = if shuffled then Rng.int rng 0x4000_0000 else 0 in
-      let e = (!nowr + delta, pri, !seqr) in
+      let e = ev (!nowr + delta) pri !seqr in
       Heap.push h e;
       Wheel.push w e;
       live := !seqr :: !live
@@ -192,18 +220,18 @@ let wheel_heap_parity ~shuffled seed =
     else if op < 75 then begin
       (* peek (advances the wheel cursor) without extracting *)
       match (Heap.peek h, Wheel.peek w) with
-      | None, None -> ()
-      | Some a, Some b when a = b -> ()
+      | None, b when b == Task.dummy -> ()
+      | Some a, b when a == b -> ()
       | _ -> Alcotest.failf "seed %d: peek mismatch" seed
     end
     else pop_both ()
   done;
-  while Heap.length h > 0 || not (Wheel.is_empty w) do
+  while Heap.length h > 0 || Wheel.peek w != Task.dummy do
     pop_both ()
   done;
   check_bool "identical dispatch sequences" true
     (!dispatched_h = !dispatched_w);
-  check_int "lengths agree" 0 (Wheel.length w)
+  check_bool "both drained" true (Wheel.peek w == Task.dummy)
 
 let test_wheel_parity_fifo () =
   List.iter (wheel_heap_parity ~shuffled:false) [ 1; 2; 3; 4; 5 ]
@@ -262,11 +290,11 @@ let test_vec_truncate_retention () =
 
 let test_sim_task_release () =
   (* a dispatched task's closure (and its captures) must be collectable
-     on both schedulers: the pooled cell defuses [run] on dispatch and
-     heap/wheel storage overwrites vacated slots *)
+     on the wheel and on the reference heap: the pooled cell defuses
+     [run] on dispatch and queue storage overwrites vacated slots *)
   List.iter
-    (fun sched ->
-      let sim = Sim.create ~sched () in
+    (fun create ->
+      let sim = create () in
       let w =
         let payload = Bytes.create 64 in
         Sim.at sim 5 (fun () -> ignore (Sys.opaque_identity payload));
@@ -275,7 +303,27 @@ let test_sim_task_release () =
       ignore (Sim.run sim);
       Gc.full_major ();
       check_bool "dispatched closure released" false (Weak.check w 0))
-    [ `Heap; `Wheel ]
+    [ Sim.create; Sim.create_reference ]
+
+(* Every cluster builds a sim, and with it a wheel: building one must
+   stay cheap. A wheel level's slot arrays appear on its first use, so
+   creation allocates none of them; a record per slot would cost over
+   4000 words per sim. Minor words are counted exactly, so the bound is
+   deterministic; words allocated straight into the major heap (any
+   array over 256 words) count too. *)
+let test_sim_create_alloc () =
+  ignore (Sys.opaque_identity (Sim.create ()));
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let sim = Sim.create () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words =
+    Gc.minor_words () -. minor0 +. (major1 -. major0 -. (promoted1 -. promoted0))
+  in
+  ignore (Sys.opaque_identity sim);
+  check_bool
+    (Printf.sprintf "Sim.create: %.0f words allocated <= 128" words)
+    true (words <= 128.)
 
 (* --- Sim basics --- *)
 
@@ -753,11 +801,11 @@ let test_registry_eviction () =
 (* --- Sim heap-vs-wheel dispatch parity --- *)
 
 (* A program with same-time collisions, fiber suspends, a time-limited
-   run/resume, and a far-future timer (overflow level under `Wheel).
+   run/resume, and a far-future timer (the wheel's overflow level).
    The full dispatch log must be byte-identical across schedulers for
    both tie-break policies. *)
-let sim_parity_run ~sched ~tiebreak =
-  let sim = Sim.create ~sched () in
+let sim_parity_run create ~tiebreak =
+  let sim = create () in
   Sim.set_tiebreak sim tiebreak;
   let log = Buffer.create 1024 in
   for i = 1 to 8 do
@@ -784,11 +832,168 @@ let sim_parity_run ~sched ~tiebreak =
 let test_sim_sched_parity () =
   List.iter
     (fun tiebreak ->
-      let lh, eh = sim_parity_run ~sched:`Heap ~tiebreak in
-      let lw, ew = sim_parity_run ~sched:`Wheel ~tiebreak in
+      let lh, eh = sim_parity_run Sim.create_reference ~tiebreak in
+      let lw, ew = sim_parity_run Sim.create ~tiebreak in
       Alcotest.(check string) "dispatch log identical" lh lw;
       check_int "events executed identical" eh ew)
     [ `Fifo; `Seeded_shuffle 42 ]
+
+(* --- Model-based dispatch order --- *)
+
+(* A random program over the public Sim/Cond API — delays, plain
+   callbacks, nested spawns, signals, broadcasts and waits with
+   timeouts — checked against a model that shares no code with either
+   queue. The dispatch hook logs every task's (seq, pri, time) and how
+   many tasks had been scheduled when it started; the model then
+   replays the run from the log alone: at each dispatch, the pending set
+   is every scheduled task not yet dispatched, and the dispatched task
+   must be its (time, pri, seq) minimum — under [Controlled], the
+   chooser must have been offered exactly the pending tasks at the
+   minimum time, in seq order, and the dispatched task must be the one
+   it chose. Every scheduled task must run exactly once, and every
+   plain callback at the time it was scheduled for. *)
+
+type dispatch = {
+  d_seq : int;
+  d_pri : int;
+  d_time : int;
+  d_scheduled : int;  (* tasks scheduled before this dispatch *)
+  d_offer : (int array * int) option;  (* the Controlled tie and choice *)
+}
+
+let model_program sim rng =
+  let conds =
+    Array.init 3 (fun i -> Cond.create ~label:(Printf.sprintf "model-%d" i) sim)
+  in
+  let late = ref 0 and callbacks = ref 0 and ran = ref 0 in
+  let pick_delay () =
+    match Rng.int rng 6 with
+    | 0 -> 0
+    | 1 | 2 -> Rng.int rng 8
+    | 3 -> Rng.int rng 2_000
+    | 4 -> Rng.int rng 300_000
+    | _ -> (1 lsl 40) + Rng.int rng 1_000
+  in
+  let callback due =
+    incr callbacks;
+    Sim.at sim due (fun () ->
+        incr ran;
+        if Sim.now sim <> due then incr late)
+  in
+  let rec fiber depth steps () =
+    for _ = 1 to steps do
+      match Rng.int rng 7 with
+      | 0 | 1 ->
+        let d = pick_delay () and t0 = Sim.now sim in
+        Sim.delay sim d;
+        if Sim.now sim <> t0 + d then incr late
+      | 2 ->
+        ignore (Cond.wait_timeout conds.(Rng.int rng 3) (1 + Rng.int rng 5_000))
+      | 3 -> Cond.signal conds.(Rng.int rng 3)
+      | 4 -> Cond.broadcast conds.(Rng.int rng 3)
+      | 5 -> callback (Sim.now sim + pick_delay ())
+      | _ ->
+        if depth < 2 then
+          Sim.spawn sim ~name:"model-child" (fiber (depth + 1) (1 + Rng.int rng 4))
+    done
+  in
+  for i = 1 to 2 + Rng.int rng 5 do
+    Sim.spawn sim ~name:(Printf.sprintf "model-%d" i) (fiber 0 (2 + Rng.int rng 10))
+  done;
+  for _ = 1 to Rng.int rng 6 do
+    callback (pick_delay ())
+  done;
+  fun () -> (!late, !callbacks, !ran)
+
+let model_run ~seed policy =
+  let sim = Sim.create () in
+  let offer = ref None in
+  let choose = Rng.create ~seed:(seed + 1) in
+  (match policy with
+  | `Fifo -> Sim.set_tiebreak sim `Fifo
+  | `Shuffle -> Sim.set_tiebreak sim (`Seeded_shuffle seed)
+  | `Controlled ->
+    Sim.set_tiebreak sim
+      (`Controlled
+        (fun tie ->
+          let c = Rng.int choose (Array.length tie) in
+          offer := Some (Array.copy tie, c);
+          c)));
+  let log = ref [] in
+  Sim.set_hooks sim
+    (Some
+       {
+         Sim.on_op = (fun _ _ _ -> ());
+         on_spawn = (fun ~parent:_ ~child:_ ~name:_ -> ());
+         on_dispatch =
+           (fun ~seq ~pri ~time ->
+             log :=
+               { d_seq = seq; d_pri = pri; d_time = time;
+                 d_scheduled = Sim.tasks_scheduled sim; d_offer = !offer }
+               :: !log;
+             offer := None);
+       });
+  let counts = model_program sim (Rng.create ~seed) in
+  (match Sim.run sim with
+  | `Quiescent -> ()
+  | _ -> Alcotest.fail "model program did not quiesce");
+  (Array.of_list (List.rev !log), Sim.tasks_scheduled sim, counts ())
+
+let model_check ~seed policy =
+  let log, scheduled, (late, callbacks, ran) = model_run ~seed policy in
+  let failf fmt =
+    Printf.ksprintf (fun m -> Alcotest.failf "seed %d: %s" seed m) fmt
+  in
+  check_int "plain callbacks ran once each" callbacks ran;
+  check_int "callbacks and delays on time" 0 late;
+  (* exactly once: the dispatched seqs are 1..scheduled, no repeats *)
+  let at = Array.make (scheduled + 1) (-1) in
+  Array.iteri
+    (fun k d ->
+      if d.d_seq < 1 || d.d_seq > scheduled then failf "unknown seq %d" d.d_seq;
+      if at.(d.d_seq) >= 0 then failf "seq %d dispatched twice" d.d_seq;
+      at.(d.d_seq) <- k)
+    log;
+  check_int "every scheduled task dispatched" scheduled (Array.length log);
+  let key s =
+    let d = log.(at.(s)) in
+    (d.d_time, d.d_pri, s)
+  in
+  Array.iteri
+    (fun k d ->
+      (* pending: scheduled before this dispatch and not dispatched yet *)
+      let pending =
+        List.filter (fun s -> at.(s) >= k) (List.init d.d_scheduled succ)
+      in
+      if not (List.mem d.d_seq pending) then
+        failf "seq %d dispatched before it was scheduled" d.d_seq;
+      let least = List.fold_left (fun m s -> min m (key s)) (key d.d_seq) pending in
+      match policy with
+      | `Fifo | `Shuffle ->
+        if key d.d_seq <> least then
+          failf "dispatch %d ran seq %d, not the pending minimum" k d.d_seq
+      | `Controlled ->
+        let t, _, _ = least in
+        let tie =
+          Array.of_list (List.filter (fun s -> (let ts, _, _ = key s in ts) = t) pending)
+        in
+        (match d.d_offer with
+        | None ->
+          if Array.length tie <> 1 || tie.(0) <> d.d_seq then
+            failf "dispatch %d: ran seq %d at %d, but %d task(s) due at %d"
+              k d.d_seq d.d_time (Array.length tie) t
+        | Some (offered, c) ->
+          if offered <> tie then
+            failf "dispatch %d: offered tie is not the due set" k;
+          if offered.(c) <> d.d_seq then
+            failf "dispatch %d: ran seq %d, chooser picked %d" k d.d_seq
+              offered.(c)))
+    log
+
+let test_dispatch_model policy () =
+  for seed = 1 to 40 do
+    model_check ~seed policy
+  done
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -815,6 +1020,8 @@ let suites =
           test_wheel_late_insert_after_peek;
         Alcotest.test_case "coincident multi-level boundary crossing" `Quick
           test_wheel_coincident_boundary;
+        Alcotest.test_case "top-level window crossing" `Quick
+          test_wheel_top_level_crossing;
         Alcotest.test_case "heap parity (fifo)" `Quick test_wheel_parity_fifo;
         Alcotest.test_case "heap parity (shuffled)" `Quick
           test_wheel_parity_shuffled;
@@ -830,7 +1037,15 @@ let suites =
           test_sim_past_scheduling_rejected;
         Alcotest.test_case "heap/wheel dispatch parity" `Quick
           test_sim_sched_parity;
+        Alcotest.test_case "dispatch order model (fifo)" `Quick
+          (test_dispatch_model `Fifo);
+        Alcotest.test_case "dispatch order model (seeded shuffle)" `Quick
+          (test_dispatch_model `Shuffle);
+        Alcotest.test_case "dispatch order model (controlled)" `Quick
+          (test_dispatch_model `Controlled);
         Alcotest.test_case "task cells released" `Quick test_sim_task_release;
+        Alcotest.test_case "create allocation bound" `Quick
+          test_sim_create_alloc;
       ] );
     ( "engine.cond",
       [
