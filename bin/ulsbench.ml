@@ -1092,6 +1092,8 @@ let storm_cmd =
         ("mpps", Float r.Storm.mpps);
         ("doorbells", Int r.Storm.doorbells);
         ("mailbox_fetches", Int r.Storm.mailbox_fetches);
+        ("ring_submitted", Int r.Storm.ring_submitted);
+        ("ring_doorbells", Int r.Storm.ring_doorbells);
         ("intact", Bool r.Storm.intact);
         ("completed_run", Bool r.Storm.completed_run);
       ]

@@ -149,16 +149,10 @@ let run ?on_metrics cfg =
         starts.(k) <- Sim.now sim;
         let j = ref 0 in
         while !j < cfg.count do
-          if cfg.batch > 1 then begin
-            let n = min cfg.batch (cfg.count - !j) in
-            Conn.writev conn
-              (List.init n (fun i -> message cfg ~sink:k ~index:(!j + i)));
-            j := !j + n
-          end
-          else begin
-            Conn.write conn (message cfg ~sink:k ~index:!j);
-            incr j
-          end
+          let n = min cfg.batch (cfg.count - !j) in
+          Conn.writev conn
+            (List.init n (fun i -> message cfg ~sink:k ~index:(!j + i)));
+          j := !j + n
         done;
         ignore (Conn.read conn 1);
         Conn.close conn)

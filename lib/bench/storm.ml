@@ -5,9 +5,12 @@
     pre-posted connection-reply descriptor and a standing close-message
     descriptor (the target's accept-and-close drainer sends a close
     notification per probe, which must be absorbed or it retransmits).
-    [batch] probes are submitted per doorbell through the endpoint tx
-    ring ([post_sendv]) with their reply descriptors posted through the
-    fill ring ([post_recv_batch]); [batch = 1] is the per-call ablation.
+    The submit fiber takes up to [batch] free slots per doorbell through
+    the endpoint tx ring ([post_sendv]), with their reply descriptors
+    posted through the fill ring ([post_recv_batch]). Only the first
+    window fills whole batches: after it, each reply frees one slot and
+    the submit fiber wakes on it, so [ring_submitted] stays at one
+    window per scanner. [batch = 1] is the per-call ablation.
     Deterministic per config. *)
 
 open Uls_engine
@@ -54,6 +57,8 @@ type report = {
   mpps : float;  (** attempts_per_sec / 1e6 *)
   doorbells : int;  (** scanner-node [nic.doorbells], summed *)
   mailbox_fetches : int;  (** scanner-node [nic.mailbox_fetches], summed *)
+  ring_submitted : int;  (** probes through the scanners' tx rings *)
+  ring_doorbells : int;  (** doorbells the scanners' tx rings issued *)
   intact : bool;  (** every probe answered *)
   completed_run : bool;
 }
@@ -143,8 +148,8 @@ let run cfg =
     in
     let probe_counter = ref 0 in
     (* Submission fiber: take up to [batch] free slots, post their reply
-       descriptors through the fill ring, fire the requests through the
-       tx ring under one doorbell. *)
+       descriptors, then fire the requests under one doorbell (through
+       the rings when more than one slot was free). *)
     Sim.spawn sim
       ~name:(Printf.sprintf "storm-submit-%d" sidx)
       (fun () ->
@@ -187,24 +192,14 @@ let run cfg =
                 (tgt, Tags.make Tags.Conn_reply slot.ps_id, slot.ps_reply, 0, 16))
               targets_of
           in
-          let reply_recvs =
-            match reply_specs with
-            | [ (src, tag, region, off, len) ] ->
-              [ E.post_recv emp ~src ~tag region ~off ~len ]
-            | specs -> E.post_recv_batch emp specs
-          in
+          let reply_recvs = E.post_recv_batch emp reply_specs in
           let req_specs =
             List.map
               (fun (slot, tgt) ->
                 (tgt, Tags.make Tags.Conn_request 80, slot.ps_req, 0, 24))
               targets_of
           in
-          let sends =
-            match req_specs with
-            | [ (dst, tag, region, off, len) ] ->
-              [ E.post_send emp ~dst ~tag region ~off ~len ]
-            | specs -> E.post_sendv emp specs
-          in
+          let sends = E.post_sendv emp req_specs in
           List.iter2
             (fun ((slot, _), send) reply ->
               slot.ps_pending <- Some send;
@@ -244,6 +239,14 @@ let run cfg =
     done;
     !sum
   in
+  let ring_submitted = ref 0 and ring_doorbells = ref 0 in
+  for i = 0 to cfg.scanners - 1 do
+    match E.tx_ring_stats (Cluster.emp c i) with
+    | Some st ->
+      ring_submitted := !ring_submitted + st.Uls_rings.Ringpair.submitted;
+      ring_doorbells := !ring_doorbells + st.Uls_rings.Ringpair.doorbells
+    | None -> ()
+  done;
   let completed_run = outcome = `Quiescent && !accepted + !refused = attempts in
   {
     attempts;
@@ -261,6 +264,8 @@ let run cfg =
        else 0.);
     doorbells = scanner_counter "nic.doorbells";
     mailbox_fetches = scanner_counter "nic.mailbox_fetches";
+    ring_submitted = !ring_submitted;
+    ring_doorbells = !ring_doorbells;
     intact = !accepted + !refused = attempts && !refused = 0;
     completed_run;
   }
@@ -277,6 +282,8 @@ let print_report fmt cfg (r : report) =
     "  accepted %d, refused %d, server accepts %d; scanner NICs: %d \
      doorbells, %d mailbox fetches@."
     r.accepted r.refused r.server_accepts r.doorbells r.mailbox_fetches;
+  Format.fprintf fmt "  scanner tx rings: %d submitted, %d doorbells@."
+    r.ring_submitted r.ring_doorbells;
   Format.fprintf fmt "  %s@."
     (if r.completed_run && r.intact then "ok"
      else if not r.completed_run then "INCOMPLETE"

@@ -1,10 +1,13 @@
 (** Connection storm: ZMap-style scanners fire windowed connection
     probes at substrate targets, measuring connect-attempt rate. Each
-    scanner is a raw-EMP probe engine with [window] slots; [batch]
-    probes are submitted per doorbell through the endpoint tx ring, with
-    reply descriptors posted through the fill ring. [batch = 1] is the
-    per-call ablation. Targets run real substrate listeners with an
-    accept-and-close drainer. Deterministic per config. *)
+    scanner is a raw-EMP probe engine with [window] slots; up to [batch]
+    free slots' probes are submitted per doorbell through the endpoint
+    tx ring, with reply descriptors posted through the fill ring. After
+    the first window, replies free one slot at a time, so later probes
+    mostly take the per-call path ([ring_submitted] counts the probes
+    that rode the ring). [batch = 1] is the per-call ablation. Targets run real
+    substrate listeners with an accept-and-close drainer. Deterministic
+    per config. *)
 
 type config = {
   scanners : int;
@@ -31,6 +34,10 @@ type report = {
   mpps : float;  (** attempts_per_sec / 1e6 *)
   doorbells : int;  (** scanner-node [nic.doorbells], summed *)
   mailbox_fetches : int;  (** scanner-node [nic.mailbox_fetches], summed *)
+  ring_submitted : int;
+      (** probes submitted through the scanners' tx rings, summed; the
+          rest took the per-call path *)
+  ring_doorbells : int;  (** doorbells the scanners' tx rings issued, summed *)
   intact : bool;  (** every probe answered, none refused *)
   completed_run : bool;
 }

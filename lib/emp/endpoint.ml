@@ -29,7 +29,9 @@ type send = {
   mutable s_rto : Time.ns;
   mutable s_done : bool;
   mutable s_failed : bool;
-  mutable s_ring : bool;  (* submitted through the tx ring *)
+  s_ring : (send, send) Uls_rings.Ringpair.t option;
+      (* how the descriptor reached the NIC: through this tx ring, or
+         [None] for the per-call mailbox *)
   mutable s_reaped : bool;  (* completion charge already paid *)
   s_span : int;  (* trace span: open from post to full acknowledgment *)
   s_cond : Cond.t;
@@ -122,7 +124,11 @@ type t = {
   posted : recv Match_list.t;
   uq : uq_slot Vec.t;
   active_rx : (Wire.msg_key, rx_record) Hashtbl.t;
-  finished_rx : (Wire.msg_key, int) Hashtbl.t; (* nframes, for dup re-acks *)
+  (* nframes of each finished message, for duplicate re-acks, in two
+     generations: the current one began at [finished_since]. *)
+  mutable finished_rx : (Wire.msg_key, int) Hashtbl.t;
+  mutable finished_prev : (Wire.msg_key, int) Hashtbl.t;
+  mutable finished_since : Time.ns;
   active_tx : (Wire.msg_key, send) Hashtbl.t;
   (* One mailbox + dispatcher fiber per NIC receive queue: frames are
      RSS-steered by source node, so each peer's traffic is handled by a
@@ -156,6 +162,8 @@ let config t = t.cfg
 let model t = Node.model t.node
 
 let posted_descriptors t = Match_list.length t.posted
+let finished_records t =
+  Hashtbl.length t.finished_rx + Hashtbl.length t.finished_prev
 
 let descriptor_stats t =
   {
@@ -195,7 +203,8 @@ let send_frame t st idx =
   (* Ring-submitted sends are gather-DMA: frames queued behind an
      in-progress transfer ride the burst (no per-frame setup). Mailbox
      sends keep the one-transaction-per-frame charge. *)
-  Tigon.dma ~pipelined:st.s_ring t.nic ~bytes:(String.length chunk);
+  Tigon.dma ~pipelined:(Option.is_some st.s_ring) t.nic
+    ~bytes:(String.length chunk);
   Tigon.tx_work t.nic (model t).Cost_model.nic_tx_per_frame;
   let data =
     {
@@ -219,10 +228,7 @@ let fail_send t st =
     ~args:[ ("outcome", "failed") ]
     st.s_span;
   Cond.broadcast st.s_cond;
-  (if st.s_ring then
-     match t.tx_ring with
-     | Some rp -> Uls_rings.Ringpair.complete rp st
-     | None -> ());
+  Option.iter (fun rp -> Uls_rings.Ringpair.complete rp st) st.s_ring;
   (* Tell the layer above (the substrate maps the tag back to its
      connection and resets it) — not every failed send has a fiber
      parked in [wait_send] to observe the failure. *)
@@ -231,13 +237,13 @@ let fail_send t st =
 (* The single transmit fiber of a message: streams frames subject to the
    in-flight window, then waits for full acknowledgment, rewinding to the
    cumulative ack (go-back-N) whenever the RTO expires. *)
-let tx_fiber ?(ring_fed = false) t st () =
+let tx_fiber t st () =
   let m = model t in
   (* Ring-fed sends already paid their descriptor fetch as part of the
      batched [nic_doorbell_batch] + [nic_ring_slot_fetch] charge in the
      ring's fetch fiber; the fixed-format slot also subsumes the
      per-message descriptor parse, so nothing more is charged here. *)
-  if not ring_fed then begin
+  if Option.is_none st.s_ring then begin
     Tigon.count_mailbox_fetch t.nic;
     Tigon.tx_work t.nic
       (m.Cost_model.nic_mailbox_fetch + m.Cost_model.nic_tx_per_msg)
@@ -285,9 +291,7 @@ let tx_fiber ?(ring_fed = false) t st () =
   in
   drive ()
 
-let make_send t ~dst ~tag region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_send: bad range";
+let make_send t ~ring ~dst ~tag region ~off ~len =
   t.next_msg_id <- t.next_msg_id + 1;
   let st =
     {
@@ -304,7 +308,7 @@ let make_send t ~dst ~tag region ~off ~len =
       s_rto = t.cfg.rto;
       s_done = false;
       s_failed = false;
-      s_ring = false;
+      s_ring = ring;
       s_reaped = false;
       s_span =
         Trace.span_begin t.trace ~layer:Trace.Emp ~node:(node_id t)
@@ -316,17 +320,6 @@ let make_send t ~dst ~tag region ~off ~len =
   Hashtbl.replace t.active_tx st.s_key st;
   t.st_msgs_sent <- t.st_msgs_sent + 1;
   Stats.Counter.incr t.mh.h_messages_sent;
-  st
-
-let post_send t ~dst ~tag region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_send: bad range";
-  let m = model t in
-  Sim.delay (sim t) m.Cost_model.emp_host_post;
-  Os.pin_region (Node.os t.node) region ~off ~len;
-  Tigon.doorbell t.nic;
-  let st = make_send t ~dst ~tag region ~off ~len in
-  Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber t st);
   st
 
 let send_done st = st.s_done
@@ -344,7 +337,7 @@ let wait_send t st =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Batched submission: the per-endpoint tx ring                        *)
+(* Submission: per call, or batched through the per-endpoint tx ring   *)
 (* ------------------------------------------------------------------ *)
 
 let dummy_send t =
@@ -362,20 +355,19 @@ let dummy_send t =
     s_rto = t.cfg.rto;
     s_done = true;
     s_failed = false;
-    s_ring = false;
+    s_ring = None;
     s_reaped = true;
     s_span = 0;
     s_cond = Cond.create ~label:"emp:send-dummy" (sim t);
   }
 
-let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) ?(capacity = 1024) t =
+let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) t =
   match t.tx_ring with
   | Some rp -> rp
   | None ->
     let d = dummy_send t in
     let rp =
-      Uls_rings.Ringpair.create ~mode ~sq_capacity:capacity
-        ~cq_capacity:capacity
+      Uls_rings.Ringpair.create ~mode
         ~label:(Printf.sprintf "emp%d-txring" (node_id t))
         ~on_doorbell:(fun () -> Tigon.count_doorbell t.nic)
         ~on_fetch:(fun _n -> Tigon.count_mailbox_fetch t.nic)
@@ -383,46 +375,56 @@ let get_tx_ring ?(mode = Uls_rings.Ringpair.Wakeup) ?(capacity = 1024) t =
         (sim t) ~model:(model t)
         ~nic_cpu:(Tigon.tx_cpu t.nic)
         ~dummy_sub:d ~dummy_comp:d
-        ~consume:(fun st ->
-          Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber ~ring_fed:true t st))
+        ~consume:(fun st -> Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber t st))
         ()
     in
     t.tx_ring <- Some rp;
     rp
 
-(* Batched send: one host-post charge and one doorbell for the whole
-   batch; each descriptor is a cached ring-slot write. A singleton batch
-   takes the classic [post_send] path so [--batch 1] reproduces the
-   per-call behaviour byte for byte. *)
-let post_sendv ?mode t specs =
+(* The per-send body both submission paths share: validate, pin (a
+   translation-cache hit once the region is registered), build the
+   record and hand it to the NIC. Only the notification differs: a
+   per-call descriptor rings its own MMIO doorbell and the NIC fetches
+   it from the mailbox; a ring descriptor is a cached slot write that
+   the batch's single doorbell covers. *)
+let submit_send t ring ~dst ~tag region ~off ~len =
+  if len < 0 || off < 0 || off + len > Memory.length region then
+    invalid_arg "Endpoint.post_send: bad range";
+  Os.pin_region (Node.os t.node) region ~off ~len;
+  if Option.is_none ring then Tigon.doorbell t.nic;
+  let st = make_send t ~ring ~dst ~tag region ~off ~len in
+  (match ring with
+  | None -> Sim.spawn (sim t) ~name:"emp-tx" (tx_fiber t st)
+  | Some rp -> ignore (Uls_rings.Ringpair.submit rp st : bool));
+  st
+
+let post_send t ~dst ~tag region ~off ~len =
+  Sim.delay (sim t) (model t).Cost_model.emp_host_post;
+  submit_send t None ~dst ~tag region ~off ~len
+
+(* One host-post charge for the whole batch; the batch length picks the
+   notification. A batch of one stays on the per-call path, so
+   [--batch 1] is the per-call ablation byte for byte. *)
+let post_sendv t specs =
   match specs with
   | [] -> []
-  | [ (dst, tag, region, off, len) ] ->
-    [ post_send t ~dst ~tag region ~off ~len ]
-  | _ ->
-    let m = model t in
-    let rp = get_tx_ring ?mode t in
-    Sim.delay (sim t) m.Cost_model.emp_host_post;
+  | _ :: rest ->
+    let ring = match rest with [] -> None | _ -> Some (get_tx_ring t) in
+    Sim.delay (sim t) (model t).Cost_model.emp_host_post;
     let sts =
       List.map
         (fun (dst, tag, region, off, len) ->
-          if len < 0 || off < 0 || off + len > Memory.length region then
-            invalid_arg "Endpoint.post_sendv: bad range";
-          Os.pin_region (Node.os t.node) region ~off ~len;
-          let st = make_send t ~dst ~tag region ~off ~len in
-          st.s_ring <- true;
-          ignore (Uls_rings.Ringpair.submit rp st : bool);
-          st)
+          submit_send t ring ~dst ~tag region ~off ~len)
         specs
     in
-    Uls_rings.Ringpair.ring_doorbell rp;
+    Option.iter Uls_rings.Ringpair.ring_doorbell ring;
     sts
 
-let reap_sent ?(max = max_int) t =
+let reap_sent t =
   match t.tx_ring with
   | None -> []
   | Some rp ->
-    let popped = Uls_rings.Ringpair.reap rp ~max in
+    let popped = Uls_rings.Ringpair.reap rp ~max:max_int in
     List.filter
       (fun st ->
         if st.s_reaped then false
@@ -521,9 +523,17 @@ let uq_match t ~src ~tag =
   in
   scan 0
 
-let make_recv t ~src ~tag region ~off ~len =
+(* The per-descriptor body both receive paths share: validate, pin,
+   build the record, then either consume a matching unexpected-queue
+   message at once or post the descriptor on the match list. Returns the
+   receive queue whose core must fetch the posted descriptor (the queue
+   that serves this peer; queue 0 for wildcard posts, since any queue may
+   end up matching them), or -1 when the unexpected queue answered and
+   nothing reaches the NIC. *)
+let place_recv t ~src ~tag region ~off ~len =
   if len < 0 || off < 0 || off + len > Memory.length region then
     invalid_arg "Endpoint.post_recv: bad range";
+  Os.pin_region (Node.os t.node) region ~off ~len;
   let r =
     {
       r_want_src = src;
@@ -542,28 +552,26 @@ let make_recv t ~src ~tag region ~off ~len =
     }
   in
   t.st_desc_posted <- t.st_desc_posted + 1;
-  r
-
-let post_recv t ~src ~tag region ~off ~len =
-  if len < 0 || off < 0 || off + len > Memory.length region then
-    invalid_arg "Endpoint.post_recv: bad range";
-  let m = model t in
-  Sim.delay (sim t) m.Cost_model.emp_host_post;
-  Os.pin_region (Node.os t.node) region ~off ~len;
-  let r = make_recv t ~src ~tag region ~off ~len in
-  (match uq_match t ~src ~tag with
-  | Some slot -> consume_uq t slot r
+  match uq_match t ~src ~tag with
+  | Some slot ->
+    consume_uq t slot r;
+    (r, -1)
   | None ->
     r.r_entry <- Some (Match_list.post t.posted ~src ~tag r);
-    Tigon.doorbell t.nic;
-    (* The doorbell lands on the queue that will serve this peer (queue 0
-       for wildcard posts — any queue may end up matching it). *)
-    let q = if src = -1 then 0 else Tigon.steer t.nic ~flow:src in
-    Tigon.count_mailbox_fetch t.nic;
-    ignore
-      (Resource.completion_after
-         (Tigon.rx_cpu ~queue:q t.nic)
-         m.Cost_model.nic_mailbox_fetch));
+    (r, if src = -1 then 0 else Tigon.steer t.nic ~flow:src)
+
+(* The NIC learns of posted receive descriptors on [queue]: one MMIO
+   doorbell, then a mailbox fetch costing [cost] on that queue's core. *)
+let fetch_recvs t ~queue cost =
+  Tigon.doorbell t.nic;
+  Tigon.count_mailbox_fetch t.nic;
+  ignore (Resource.completion_after (Tigon.rx_cpu ~queue t.nic) cost)
+
+let post_recv t ~src ~tag region ~off ~len =
+  let m = model t in
+  Sim.delay (sim t) m.Cost_model.emp_host_post;
+  let r, queue = place_recv t ~src ~tag region ~off ~len in
+  if queue >= 0 then fetch_recvs t ~queue m.Cost_model.nic_mailbox_fetch;
   r
 
 (* Batched descriptor replenish — the fill-ring path. Descriptors become
@@ -573,7 +581,7 @@ let post_recv t ~src ~tag region ~off ~len =
    queue, with each slot a cached [ring_slot_post] write and a cheap
    fixed-format [nic_ring_slot_fetch] on the NIC, instead of a
    [pio_write] + [nic_mailbox_fetch] per descriptor. A singleton batch
-   takes the classic [post_recv] path byte for byte. *)
+   takes the per-call [post_recv] path byte for byte. *)
 let post_recv_batch t specs =
   match specs with
   | [] -> []
@@ -587,28 +595,17 @@ let post_recv_batch t specs =
       List.map
         (fun (src, tag, region, off, len) ->
           Sim.delay (sim t) m.Cost_model.ring_slot_post;
-          Os.pin_region (Node.os t.node) region ~off ~len;
-          let r = make_recv t ~src ~tag region ~off ~len in
-          (match uq_match t ~src ~tag with
-          | Some slot -> consume_uq t slot r
-          | None ->
-            r.r_entry <- Some (Match_list.post t.posted ~src ~tag r);
-            let q = if src = -1 then 0 else Tigon.steer t.nic ~flow:src in
-            queue_counts.(q) <- queue_counts.(q) + 1);
+          let r, q = place_recv t ~src ~tag region ~off ~len in
+          if q >= 0 then queue_counts.(q) <- queue_counts.(q) + 1;
           r)
         specs
     in
     Array.iteri
-      (fun q k ->
-        if k > 0 then begin
-          Tigon.doorbell t.nic;
-          Tigon.count_mailbox_fetch t.nic;
-          ignore
-            (Resource.completion_after
-               (Tigon.rx_cpu ~queue:q t.nic)
-               (m.Cost_model.nic_doorbell_batch
-               + (k * m.Cost_model.nic_ring_slot_fetch)))
-        end)
+      (fun queue k ->
+        if k > 0 then
+          fetch_recvs t ~queue
+            (m.Cost_model.nic_doorbell_batch
+            + (k * m.Cost_model.nic_ring_slot_fetch)))
       queue_counts;
     rs
 
@@ -770,8 +767,30 @@ let store_chunk t record (d : Wire.data) =
     if n > 0 then Memory.blit_from_string (String.sub d.chunk 0 n) slot.u_buf ~off:dst_off);
   Tigon.dma t.nic ~bytes
 
+(* A duplicate of a finished message can only come from a sender still
+   inside its retry schedule. That schedule restarts only on ack
+   progress, the completion ack covers every frame, and the schedule
+   ends within [max_retries * max_rto] (peers share the config), so an
+   entry older than that is never asked for again. Each generation of
+   finished keys spans more than that horizon before it is retired and
+   more again before it is dropped, so every entry outlives the horizon
+   and at most two horizons' worth of finishes are kept, with no
+   per-message bookkeeping beyond the table entry itself. *)
+let age_finished t now =
+  if now - t.finished_since > t.cfg.max_retries * t.cfg.max_rto then begin
+    t.finished_prev <- t.finished_rx;
+    t.finished_rx <- Hashtbl.create 256;
+    t.finished_since <- now
+  end
+
+let finished_nframes t key =
+  match Hashtbl.find_opt t.finished_rx key with
+  | Some _ as hit -> hit
+  | None -> Hashtbl.find_opt t.finished_prev key
+
 let finish_record t key record =
   Hashtbl.remove t.active_rx key;
+  age_finished t (Sim.now (sim t));
   Hashtbl.replace t.finished_rx key record.rec_nframes;
   t.st_msgs_recv <- t.st_msgs_recv + 1;
   Stats.Counter.incr t.mh.h_messages_received;
@@ -809,14 +828,13 @@ let rx_data t ~queue (d : Wire.data) =
       (* Later frame: matched against the in-progress receive record. *)
       Tigon.rx_work ~queue t.nic m.Cost_model.nic_tag_match_per_desc;
       Some record
-    | None ->
-      if Hashtbl.mem t.finished_rx key then begin
+    | None -> (
+      match finished_nframes t key with
+      | Some nframes ->
         (* Duplicate of a completed message: re-ack so the sender stops. *)
-        let nframes = Hashtbl.find t.finished_rx key in
         send_protocol_ack t ~queue ~dst:key.Wire.src_node ~key ~acked:nframes;
         None
-      end
-      else begin
+      | None -> (
         match match_new_message t ~queue d with
         | None ->
           t.st_drops <- t.st_drops + 1;
@@ -838,8 +856,7 @@ let rx_data t ~queue (d : Wire.data) =
             }
           in
           Hashtbl.replace t.active_rx key record;
-          Some record
-      end
+          Some record))
   in
   match record with
   | None -> ()
@@ -911,9 +928,9 @@ let rx_ack t ~queue key acked =
          sends post to the CQ instead, whose flush fiber coalesces many
          completion writes into one DMA burst (CQ moderation) — at high
          completion rates the per-message [dma_setup] vanishes. *)
-      (match (st.s_ring, t.tx_ring) with
-      | true, Some rp -> Uls_rings.Ringpair.complete rp st
-      | _ -> Tigon.dma t.nic ~bytes:8)
+      (match st.s_ring with
+      | Some rp -> Uls_rings.Ringpair.complete rp st
+      | None -> Tigon.dma t.nic ~bytes:8)
     end;
     Cond.broadcast st.s_cond
 
@@ -954,6 +971,7 @@ let reset t =
   t.st_desc_completed <- t.st_desc_completed + List.length unposted;
   Hashtbl.reset t.active_rx;
   Hashtbl.reset t.finished_rx;
+  Hashtbl.reset t.finished_prev;
   Vec.iter
     (fun slot ->
       slot.u_state <- `Free;
@@ -991,6 +1009,8 @@ let create ?(config = default_config) node nic =
       uq = Vec.create ();
       active_rx = Hashtbl.create 64;
       finished_rx = Hashtbl.create 256;
+      finished_prev = Hashtbl.create 1;
+      finished_since = Sim.now sim;
       active_tx = Hashtbl.create 64;
       rx_queues =
         Array.init (Tigon.rx_queues nic) (fun i ->

@@ -62,25 +62,27 @@ val wait_send : t -> send -> unit
 (** {1 Batched submission (tx ring)} *)
 
 val get_tx_ring :
-  ?mode:Uls_rings.Ringpair.mode -> ?capacity:int -> t -> (send, send) Uls_rings.Ringpair.t
-(** The endpoint's submission/completion ring pair, created on first
-    use. [mode] and [capacity] only apply at creation; later calls
+  ?mode:Uls_rings.Ringpair.mode -> t -> (send, send) Uls_rings.Ringpair.t
+(** The endpoint's submission/completion ring pair (1024 slots each),
+    created on first use. [mode] only applies at creation; later calls
     return the existing ring unchanged. *)
 
 val post_sendv :
-  ?mode:Uls_rings.Ringpair.mode ->
-  t ->
-  (int * int * Uls_host.Memory.region * int * int) list ->
-  send list
+  t -> (int * int * Uls_host.Memory.region * int * int) list -> send list
 (** Batched {!post_send}: each element is [(dst, tag, region, off,
-    len)]. One [emp_host_post] and one doorbell cover the whole batch;
+    len)]. Every element goes through the same per-send body as
+    {!post_send} (range check, pin, send record); only the notification
+    differs. One [emp_host_post] and one doorbell cover the whole batch;
     each descriptor is a cached [ring_slot_post] write, fetched by the
-    NIC under a single [nic_doorbell_batch] charge. A singleton list
-    degenerates to {!post_send} exactly (the batch=1 ablation is
-    byte-identical to the per-call path). Caller must be a fiber. *)
+    NIC under a single [nic_doorbell_batch] charge. A singleton list is
+    {!post_send} exactly (the batch=1 ablation is byte-identical to the
+    per-call path). Each send remembers which way it was submitted,
+    which picks its frame DMA shape and where its completion goes (the
+    ring's completion queue, or a per-send completion DMA). Caller must
+    be a fiber. *)
 
-val reap_sent : ?max:int -> t -> send list
-(** Drain completed ring sends from the completion ring in bulk
+val reap_sent : t -> send list
+(** Drain every completed ring send from the completion ring in bulk
     ([emp_host_reap] for the first + [ring_reap_slot] each additional),
     non-blocking. Sends already accounted by {!wait_send} are filtered
     out. Returns [[]] when the endpoint never used the ring. *)
@@ -115,11 +117,12 @@ val post_recv_batch :
   (int * int * Uls_host.Memory.region * int * int) list ->
   recv list
 (** Batched {!post_recv} — the fill-ring path; elements are [(src, tag,
-    region, off, len)]. Descriptors are matchable immediately, exactly
-    as with {!post_recv}; the batch amortizes the host post, the
-    doorbell, and the NIC's descriptor fetch (one [nic_doorbell_batch] +
-    k·[nic_ring_slot_fetch] per involved receive queue). A singleton
-    list degenerates to {!post_recv} exactly. *)
+    region, off, len)]. Each descriptor goes through the same body as
+    {!post_recv} (range check, pin, then an unexpected-queue hit or a
+    match-list post), so it is matchable immediately; the batch
+    amortizes the host post, the doorbell, and the NIC's descriptor
+    fetch (one [nic_doorbell_batch] + k·[nic_ring_slot_fetch] per
+    involved receive queue). A singleton list is {!post_recv} exactly. *)
 
 val recv_done : recv -> bool
 val wait_recv : t -> recv -> int * int * int
@@ -177,6 +180,13 @@ type stats = {
 
 val stats : t -> stats
 val posted_descriptors : t -> int
+
+val finished_records : t -> int
+(** Completed incoming messages still remembered so a duplicate frame
+    is re-acknowledged instead of delivered twice. Every entry is kept
+    for more than [max_retries * max_rto], by which time the sender's
+    retry schedule has ended, and is dropped within twice that, so the
+    count is bounded by the finish rate over two such horizons. *)
 
 type desc_stats = {
   descs_posted : int;  (** receive descriptors ever posted *)

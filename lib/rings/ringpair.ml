@@ -27,7 +27,6 @@ type ('s, 'c) t = {
   consume : 's -> unit;
   not_full : Cond.t;
   nic_work : Cond.t;
-  cq_ready : Cond.t;
   on_doorbell : unit -> unit;
   on_fetch : int -> unit;
   on_cq_flush : (int -> unit) option;
@@ -118,7 +117,6 @@ let create ?(mode = Wakeup) ?(backpressure = Block) ?(sq_capacity = 1024)
       consume;
       not_full = Cond.create ~label:(label ^ " sq-space") sim;
       nic_work = Cond.create ~label:(label ^ " nic-work") sim;
-      cq_ready = Cond.create ~label:(label ^ " cq-ready") sim;
       on_doorbell;
       on_fetch;
       on_cq_flush;
@@ -196,8 +194,7 @@ let complete t c =
   | Some _ ->
     t.cq_unflushed <- t.cq_unflushed + 1;
     Cond.signal t.cq_flush_work
-  | None -> ());
-  Cond.broadcast t.cq_ready
+  | None -> ())
 
 let reap t ~max =
   let xs = Cursor_ring.pop_up_to t.cq ~max in
@@ -210,7 +207,3 @@ let reap t ~max =
         (t.model.Cost_model.emp_host_reap
         + ((k - 1) * t.model.Cost_model.ring_reap_slot)));
   xs
-
-let reap_wait t ~max =
-  Cond.wait_until t.cq_ready (fun () -> not (Cursor_ring.is_empty t.cq));
-  reap t ~max

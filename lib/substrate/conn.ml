@@ -549,8 +549,6 @@ let stage_for_batch t data ~flush =
          (hdr ^ data))
   end
 
-let data_pool_slots t = Sendpool.slots t.data_pool
-
 (* Gathered write: stage up to a send-pool's worth of eager messages,
    then post them all through the endpoint's tx ring under a single
    doorbell ([Endpoint.post_sendv]). The substrate bookkeeping
@@ -571,7 +569,7 @@ let writev t datas =
       (fun () ->
         Node.compute t.env.node (opts t).Options.write_overhead;
         let staged = ref [] and count = ref 0 in
-        let pool_cap = data_pool_slots t in
+        let pool_cap = Sendpool.slots t.data_pool in
         let flush () =
           if !count > 0 then begin
             let l = List.rev !staged in
@@ -775,26 +773,22 @@ let message_consumed_deferred t r freed =
 
 let flush_reposts t freed_rev =
   let slots = List.rev freed_rev in
-  (match slots with
-  | [] -> ()
-  | [ slot ] -> repost_data_slot t slot
-  | _ ->
-    let specs =
-      List.map
-        (fun slot ->
-          ( t.peer_node,
-            Tags.make Tags.Data t.id,
-            slot.sl_region,
-            0,
-            Memory.length slot.sl_region ))
-        slots
-    in
-    let rs = E.post_recv_batch t.env.emp specs in
-    List.iter2
-      (fun slot r ->
-        slot.sl_current <- Some r;
-        Mailbox.send t.rx_handles (slot, r))
-      slots rs);
+  let specs =
+    List.map
+      (fun slot ->
+        ( t.peer_node,
+          Tags.make Tags.Data t.id,
+          slot.sl_region,
+          0,
+          Memory.length slot.sl_region ))
+      slots
+  in
+  let rs = E.post_recv_batch t.env.emp specs in
+  List.iter2
+    (fun slot r ->
+      slot.sl_current <- Some r;
+      Mailbox.send t.rx_handles (slot, r))
+    slots rs;
   let k = List.length slots in
   if k > 0 && (opts t).Options.scheme <> Options.Comm_thread then begin
     t.consumed_since_ack <- t.consumed_since_ack + k;

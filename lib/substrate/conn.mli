@@ -63,7 +63,9 @@ val writev : t -> string list -> unit
     bookkeeping ([write_overhead]) is paid once per call. Messages that
     cannot ride a batch (rendezvous-sized, blocking-send or comm-thread
     schemes) flush what is staged — preserving FIFO order — and take the
-    per-call path. [writev t [m]] is byte-identical to [write t m]. *)
+    per-call path. [writev t [m]] is byte-identical to [write t m]. If
+    the connection closes or resets part-way, the staged but unposted
+    slots go back to the send pool and the exception propagates. *)
 
 val readv : t -> max:int -> string list
 (** Batched read: blocks for the first available item, then drains every
@@ -73,27 +75,6 @@ val readv : t -> max:int -> string list
     consumed data slots are reposted through the fill ring in one batch
     ({!Uls_emp.Endpoint.post_recv_batch}); otherwise reposting is
     per-message, exactly as {!read}. [[]] means end of stream. *)
-
-val stage_for_batch :
-  t ->
-  string ->
-  flush:(unit -> unit) ->
-  [ `Skip
-  | `Fallback
-  | `Staged of
-    Sendpool.slot * (int * int * Uls_host.Memory.region * int * int) ]
-(** Building block for cross-connection batches ([Substrate.sendv]):
-    claim a send-pool slot for one eager message and return it with its
-    [post_sendv] spec. [`Skip] for empty payloads, [`Fallback] when the
-    message cannot ride a batch (caller must flush staged specs first,
-    then {!write}). [flush] is invoked before blocking on flow control
-    so staged-but-unposted messages get onto the wire and can earn their
-    credits back. *)
-
-val data_pool_slots : t -> int
-(** Send-pool capacity: a batch must flush before staging more than this
-    many messages on one connection (slot reuse would corrupt a staged,
-    unposted message). *)
 
 val readable : t -> bool
 

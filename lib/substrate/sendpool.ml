@@ -102,10 +102,8 @@ let pools_for_sim sim =
     |> List.sort (fun a b -> compare b.id a.id)
   | None -> []
 
-(** Copy [data] into the next ring slot and post the send. Blocks only
-    when the ring wraps onto a send that is still in flight. The blit is
-    free of simulated cost: it models the application reusing its own
-    (already pinned) buffer, not an extra protocol copy. *)
+(* Take the next ring slot for a writer. Blocks only when the ring wraps
+   onto a send that is still in flight. *)
 let claim_slot t =
   if t.released then invalid_arg "Sendpool: send on a released pool";
   let slot = t.slots.(t.next) in
@@ -124,25 +122,21 @@ let posted slot s =
   slot.pending <- Some s;
   slot.claimed <- false
 
-let send t ~dst ~tag data =
-  let len = String.length data in
-  if len > slot_size t then invalid_arg "Sendpool.send: message too large";
-  let slot = claim_slot t in
-  Memory.blit_from_string data slot.region ~off:0;
-  let s = E.post_send t.emp ~dst ~tag slot.region ~off:0 ~len in
-  posted slot s;
-  s
-
-(** Claim a slot and fill it without posting: the batched path stages
-    several messages, then submits them all through the endpoint's tx
-    ring under one doorbell ([Endpoint.post_sendv]); [commit] records
-    the resulting sends so slot reuse still waits on them. *)
+(* Claim a slot and fill it without posting. The blit is free of
+   simulated cost: it models the application reusing its own (already
+   pinned) buffer, not an extra protocol copy. *)
 let stage t ~dst ~tag data =
   let len = String.length data in
   if len > slot_size t then invalid_arg "Sendpool.stage: message too large";
   let slot = claim_slot t in
   Memory.blit_from_string data slot.region ~off:0;
   (slot, (dst, tag, slot.region, 0, len))
+
+let send t ~dst ~tag data =
+  let slot, (_, _, region, off, len) = stage t ~dst ~tag data in
+  let s = E.post_send t.emp ~dst ~tag region ~off ~len in
+  posted slot s;
+  s
 
 let commit slots sends = List.iter2 posted slots sends
 

@@ -24,12 +24,6 @@ val slot_size : t -> int
 val slots : t -> int
 (** Number of ring slots (batch staging must flush before wrapping). *)
 
-val send : t -> dst:int -> tag:int -> string -> Uls_emp.Endpoint.send
-(** Copy the payload into the next ring slot and post the send. Blocks
-    only when the ring wraps onto a send that is still in flight. The
-    blit is free of simulated cost: it models the application reusing
-    its own (already pinned) buffer, not an extra protocol copy. *)
-
 type slot
 
 val stage :
@@ -40,9 +34,16 @@ val stage :
   slot * (int * int * Uls_host.Memory.region * int * int)
 (** Claim the next ring slot and copy the payload in without posting,
     returning the slot and the [(dst, tag, region, off, len)] spec for
-    {!Uls_emp.Endpoint.post_sendv}. Blocks like {!send} when the ring
-    wraps onto an in-flight send. Pair with {!commit} once the batch is
-    posted. *)
+    {!Uls_emp.Endpoint.post_sendv}. Blocks only when the ring wraps onto
+    a send that is still in flight. The blit is free of simulated cost:
+    it models the application reusing its own (already pinned) buffer,
+    not an extra protocol copy. Pair with {!commit} once the batch is
+    posted, or {!abandon} if it never is.
+    @raise Invalid_argument when the payload exceeds {!slot_size}. *)
+
+val send : t -> dst:int -> tag:int -> string -> Uls_emp.Endpoint.send
+(** {!stage} one payload and post it at once
+    ({!Uls_emp.Endpoint.post_send}). *)
 
 val commit : slot list -> Uls_emp.Endpoint.send list -> unit
 (** Record the posted sends against their staged slots (same order), so

@@ -75,16 +75,6 @@ val connect : t -> Uls_api.Sockets_api.addr -> Conn.t
     went unanswered; on either failure the half-built connection is torn
     down and removed from the active-socket table. *)
 
-val sendv : t -> (Conn.t * string) list -> unit
-(** Gathered send across a connection group on this substrate: stages
-    every batchable message on its connection's registered send pool and
-    posts the whole group through the endpoint's tx ring under a single
-    doorbell ({!Uls_emp.Endpoint.post_sendv}). Messages that cannot ride
-    a batch (rendezvous-sized, blocking-send/comm-thread schemes) flush
-    what is staged — preserving per-connection FIFO order — and fall
-    back to {!Conn.write}. A singleton degenerates to {!Conn.write}
-    exactly; the batched receive counterpart is {!Conn.readv}. *)
-
 val stream_of_conn : Conn.t -> Uls_api.Sockets_api.stream
 
 val api : t array -> Uls_api.Sockets_api.stack

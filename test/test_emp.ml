@@ -359,6 +359,90 @@ let prop_random_sizes_intact =
       run c;
       !ok)
 
+(* A batch of one is the per-call path: [post_sendv [x]] and
+   [post_recv_batch [x]] cost exactly what [post_send]/[post_recv] cost,
+   down to the event count. *)
+let singleton_exchange ~batched =
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let sent_at = ref 0 and received_at = ref 0 in
+  Sim.spawn sim (fun () ->
+      let buf = Memory.alloc 64 in
+      let r =
+        if batched then List.hd (E.post_recv_batch e1 [ (0, 3, buf, 0, 64) ])
+        else E.post_recv e1 ~src:0 ~tag:3 buf ~off:0 ~len:64
+      in
+      ignore (E.wait_recv e1 r);
+      received_at := Sim.now sim);
+  Sim.spawn sim (fun () ->
+      Sim.delay sim (Time.us 5);
+      let region = Memory.of_string "batch of one" in
+      let len = Memory.length region in
+      let s =
+        if batched then List.hd (E.post_sendv e0 [ (1, 3, region, 0, len) ])
+        else E.post_send e0 ~dst:1 ~tag:3 region ~off:0 ~len
+      in
+      E.wait_send e0 s;
+      sent_at := Sim.now sim);
+  run c;
+  check_bool "no tx ring built" true (E.tx_ring_stats e0 = None);
+  let m = Metrics.for_sim sim in
+  let count name =
+    Metrics.counter_value m ~node:0 name + Metrics.counter_value m ~node:1 name
+  in
+  [
+    !sent_at;
+    !received_at;
+    count "nic.doorbells";
+    count "nic.mailbox_fetches";
+    Sim.events_executed sim;
+  ]
+
+let test_batch_of_one_is_per_call () =
+  let per_call = singleton_exchange ~batched:false in
+  Alcotest.(check (list int))
+    "completion times, doorbells, mailbox fetches, events" per_call
+    (singleton_exchange ~batched:true);
+  match per_call with
+  | [ sent; received; doorbells; fetches; _ ] ->
+    check_bool "exchange completed" true (sent > 0 && received > 0);
+    check_int "one doorbell per descriptor" 2 doorbells;
+    check_int "one fetch per doorbell" doorbells fetches
+  | _ -> Alcotest.fail "expected five counts"
+
+(* Finished-message records (kept to re-ack duplicates) outlive the
+   sender's retry schedule, [max_retries * max_rto] (4 s by default),
+   and are dropped within twice that: 200 messages 100 ms apart keep at
+   least the last horizon's worth and never more than two horizons'. *)
+let test_finished_records_bounded () =
+  let c, e0, e1 = two_nodes () in
+  let sim = Uls_bench.Cluster.sim c in
+  let n = 200 and gap = Time.ms 100 in
+  let cfg = E.config e1 in
+  let horizon = cfg.E.max_retries * cfg.E.max_rto in
+  let per_horizon = horizon / gap in
+  let peak = ref 0 and kept = ref true in
+  Sim.spawn sim (fun () ->
+      let buf = Memory.alloc 16 in
+      for i = 1 to n do
+        ignore (E.wait_recv e1 (E.post_recv e1 ~src:0 ~tag:1 buf ~off:0 ~len:16));
+        let records = E.finished_records e1 in
+        peak := max !peak records;
+        (* Sends are a little over [gap] apart, so the last horizon holds
+           at least [per_horizon - 1] finishes. *)
+        if records < min i (per_horizon - 1) then kept := false
+      done);
+  Sim.spawn sim (fun () ->
+      for i = 1 to n do
+        E.wait_send e0 (send_string e0 ~dst:1 ~tag:1 (Printf.sprintf "m%d" i));
+        Sim.delay sim gap
+      done);
+  run c;
+  check_int "every message delivered" n (E.stats e1).E.messages_received;
+  check_bool "spread over more than two horizons" true (n * gap > 4 * horizon);
+  check_bool "bounded by two horizons" true (!peak <= (2 * per_horizon) + 1);
+  check_bool "the last horizon is always kept" true !kept
+
 let suites =
   [
     ( "emp.delivery",
@@ -389,5 +473,12 @@ let suites =
         Alcotest.test_case "unpost" `Quick test_unpost_recv;
         Alcotest.test_case "reset" `Quick test_reset_clears_descriptors;
         Alcotest.test_case "translation cache" `Quick test_translation_cache_reuse;
+        Alcotest.test_case "finished records bounded" `Quick
+          test_finished_records_bounded;
+      ] );
+    ( "emp.submission",
+      [
+        Alcotest.test_case "batch of one is per-call" `Quick
+          test_batch_of_one_is_per_call;
       ] );
   ]

@@ -369,29 +369,46 @@ let test_sendpool_registry_bounded () =
       check_bool "bounded while cycling" true (!peak <= 4);
       check_int "only the control pools remain" 2 (registered ()))
 
-(* A gathered send that raises part-way hands back the slots it staged:
-   conn A's message is staged, then the closed conn B raises. A's pool
-   must still leave the registry once A is closed; a slot left claimed
-   would keep it there for good. *)
-let test_sendv_abandons_staged_slots () =
-  with_cluster ~opts:Opt.server ~n:2 (fun c api sim ->
+(* A gathered write that raises part-way hands back the slot it staged.
+   Protocol acks to the writer are withheld, so its first batch stays in
+   flight after the reader has returned the credits: the second writev
+   stages one message, then waits on the wrapped send-pool slot while
+   another fiber closes the connection. The next stage raises, and the
+   pool must still leave the registry; a slot left claimed would keep it
+   there for good. *)
+let test_writev_abandons_staged_slots () =
+  let opts = { Opt.server with Opt.credits = 2 } in
+  with_cluster ~opts ~n:2 (fun c api sim ->
       let sub0 = Uls_bench.Cluster.substrate c 0 in
+      let hold_acks = ref false in
+      Uls_ether.Network.set_fault_filter (Uls_bench.Cluster.network c)
+        (fun frame ->
+          !hold_acks
+          && frame.Uls_ether.Frame.dst = 0
+          &&
+          match frame.Uls_ether.Frame.payload with
+          | Uls_emp.Wire.Ack _ -> true
+          | _ -> false);
       let raised = ref false in
       Sim.spawn sim (fun () ->
           let l = api.listen ~node:1 ~port:80 ~backlog:4 in
-          let a, _ = l.accept () in
-          let b, _ = l.accept () in
+          let s, _ = l.accept () in
+          check_str "first batch" "onetwo" (recv_exact s 6);
           Sim.delay sim (Time.ms 5);
-          a.close ();
-          b.close ());
+          s.close ());
       Sim.spawn sim (fun () ->
           Sim.delay sim (Time.us 10);
           let a = Sub.connect sub0 { node = 1; port = 80 } in
-          let b = Sub.connect sub0 { node = 1; port = 80 } in
-          Uls_substrate.Conn.close b;
-          (try Sub.sendv sub0 [ (a, "staged"); (b, "closed") ]
+          hold_acks := true;
+          let module Conn = Uls_substrate.Conn in
+          Conn.writev a [ "one"; "two" ];
+          Sim.spawn sim (fun () ->
+              Sim.delay sim (Time.ms 1);
+              Conn.close a;
+              hold_acks := false);
+          (try Conn.writev a [ "three"; "four" ]
            with Connection_closed -> raised := true);
-          Uls_substrate.Conn.close a);
+          Conn.close a);
       ignore (Uls_bench.Cluster.run c);
       check_bool "closed conn raised" true !raised;
       check_int "only the control pools remain" 2
@@ -948,8 +965,8 @@ let suites =
           test_bounded_memory_per_connection;
         Alcotest.test_case "send-pool registry bounded" `Quick
           test_sendpool_registry_bounded;
-        Alcotest.test_case "sendv hands back staged slots" `Quick
-          test_sendv_abandons_staged_slots;
+        Alcotest.test_case "writev hands back slots" `Quick
+          test_writev_abandons_staged_slots;
       ] );
     ( "substrate.regressions",
       [

@@ -145,8 +145,9 @@ let test_sendpool_size_limit () =
       try ignore (Uls_substrate.Sendpool.send pool ~dst:1 ~tag:1 "123456789")
       with Invalid_argument msg -> got := msg);
   ignore (Uls_bench.Cluster.run c);
+  (* [send] is [stage] + post: the size check is [stage]'s. *)
   Alcotest.(check string) "oversized message rejected"
-    "Sendpool.send: message too large" !got
+    "Sendpool.stage: message too large" !got
 
 (* --- TCP segment arithmetic --- *)
 
